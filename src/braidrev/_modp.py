@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import span_closure_dim
+
 # Primes just below 2**26 (so n * p**2 stays well inside int64) that are
 # congruent to 1 mod 3, paired with a primitive cube root of unity mod p.
 PRIMES = (
@@ -41,12 +43,10 @@ def matrix_mod(mat, p: int, rho_img: int):
 def burnside_rank_mod(a1, a2, p: int) -> int:
     """Dimension mod p of the span of all words in two n x n matrices.
 
-    Closes the span of {I, a1, a2} under left multiplication; the span
-    dimension is nondecreasing per insert and the loop ends when no
-    candidate adds a new direction or the full n^2 is reached.
+    The F_p instance of ``span_closure_dim``, with an echelon basis of
+    flattened matrices reduced mod p.
     """
     n = a1.shape[0]
-    full = n * n
     pivots: list[int] = []
     rows: list[np.ndarray] = []
 
@@ -65,16 +65,5 @@ def burnside_rank_mod(a1, a2, p: int) -> int:
         rows.append((vec * inv) % p)
         return True
 
-    queue = []
-    for seed in (np.eye(n, dtype=np.int64), a1, a2):
-        if insert(seed):
-            queue.append(seed)
-    while queue and len(rows) < full:
-        mat = queue.pop()
-        for gen in (a1, a2):
-            child = (gen @ mat) % p
-            if insert(child):
-                queue.append(child)
-                if len(rows) == full:
-                    break
-    return len(rows)
+    return span_closure_dim(np.eye(n, dtype=np.int64), (a1, a2),
+                            lambda gen, mat: (gen @ mat) % p, insert, n * n)

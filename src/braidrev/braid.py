@@ -14,10 +14,11 @@ scalar of the group is pinned to 1 throughout, so (X1 X2)^3 = I and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import matmul
 
 from . import _modp
 from .cyclotomic import CycRat, ONE, RHO, RHO2, ZERO
-from .linalg import CycMatrix, ShapeError, block_diag
+from .linalg import CycMatrix, ShapeError, block_diag, span_closure_dim
 from .quiver import DimVector, QuiverRep
 
 __all__ = [
@@ -188,9 +189,12 @@ class B3Rep:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "B3Rep":
-        rep = cls(CycMatrix.from_obj(obj["X1"]), CycMatrix.from_obj(obj["X2"]))
-        if rep.n != int(obj.get("n", rep.n)):
-            raise ValueError("declared size does not match matrices")
+        try:
+            rep = cls(CycMatrix.from_obj(obj["X1"]), CycMatrix.from_obj(obj["X2"]))
+            if rep.n != int(obj.get("n", rep.n)):
+                raise ValueError("declared size does not match matrices")
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed representation object: {exc}") from exc
         return rep
 
 
@@ -268,6 +272,8 @@ def is_simple(phi: B3Rep) -> bool:
 
 
 def _burnside_rank_exact(phi: B3Rep) -> int:
+    """The Q(w) instance of ``span_closure_dim``: the exact reference for
+    ``_modp.burnside_rank_mod``."""
     n = phi.n
     full = n * n
     pivots: list[int] = []
@@ -289,19 +295,8 @@ def _burnside_rank_exact(phi: B3Rep) -> int:
         pivots.append(piv)
         return True
 
-    queue = []
-    for seed in (CycMatrix.identity(n), phi.X1, phi.X2):
-        if insert(seed):
-            queue.append(seed)
-    while queue and len(rows) < full:
-        mat = queue.pop()
-        for gen in (phi.X1, phi.X2):
-            child = gen @ mat
-            if insert(child):
-                queue.append(child)
-                if len(rows) == full:
-                    break
-    return len(rows)
+    return span_closure_dim(CycMatrix.identity(n), (phi.X1, phi.X2), matmul,
+                            insert, full)
 
 
 def recover_dimvector(phi: B3Rep) -> DimVector:

@@ -29,7 +29,6 @@ from .braid import (
     reverse_braid,
     trace_of,
 )
-from .linalg import SingularMatrixError
 from .quiver import DimVector, QuiverRep, find_isomorphism
 
 _USAGE_ERROR = 2
@@ -39,10 +38,6 @@ _CHECK_FAILED = 1
 def _trial_seed(seed: int, trial: int) -> int:
     # Sequential per-seed derivation keeps output independent of parallelism.
     return (seed * 1_000_003 + trial) & ((1 << 63) - 1)
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("BRAIDREV_SEED", "0"))
 
 
 def _emit(args, obj, text_lines):
@@ -246,7 +241,7 @@ def cmd_build(args) -> int:
     try:
         V = QuiverRep.from_obj(_load_json(args.quiver))
         phi = build_rep(V)
-    except (ValueError, SingularMatrixError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
     payload = json.dumps(phi.to_obj(), indent=2, sort_keys=True)
     if args.out:
@@ -294,9 +289,12 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # A string default passes through ``type``, so argparse itself rejects
+    # a malformed BRAIDREV_SEED with a usage error.
+    seed_default = os.environ.get("BRAIDREV_SEED", "0")
 
     def add_common(p, trials_default=10):
-        p.add_argument("--seed", type=int, default=_default_seed(),
+        p.add_argument("--seed", type=int, default=seed_default,
                        help="base seed (default: BRAIDREV_SEED or 0)")
         p.add_argument("--trials", type=int, default=trials_default)
         p.add_argument("--output", choices=("text", "json"), default="text")
@@ -328,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("isom", help="isomorphism oracle for two quiver files")
     p.add_argument("--rep1", required=True)
     p.add_argument("--rep2", required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed_default)
     p.add_argument("--output", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_isom)
 

@@ -14,7 +14,7 @@ from typing import Mapping
 
 try:
     from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:
     from fractions import Fraction as Rational
 
 __all__ = [
@@ -29,10 +29,6 @@ __all__ = [
     "DegreeMismatchError",
     "poly_proportional",
 ]
-
-_R0 = Rational(0)
-_R1 = Rational(1)
-
 
 class CycRat:
     """Element ``re + rh*w`` of Q(w), with w**2 + w + 1 = 0.
@@ -107,14 +103,6 @@ class CycRat:
         if other is NotImplemented:
             return NotImplemented
         return other * self.inverse()
-
-    def conjugate(self) -> "CycRat":
-        """Image under w -> w^2, the nontrivial field automorphism."""
-        return CycRat(self.re - self.rh, -self.rh)
-
-    def norm(self) -> Rational:
-        a, b = self.re, self.rh
-        return a * a - a * b + b * b
 
     # -- comparison & hashing -------------------------------------------
 
@@ -229,19 +217,6 @@ class TrivariatePoly:
         c = coeff if isinstance(coeff, CycRat) else CycRat(coeff)
         return cls(i + j + k, {(i, j, k): c})
 
-    @classmethod
-    def variable(cls, name: str) -> "TrivariatePoly":
-        idx = {"x": 0, "y": 1, "z": 2}[name]
-        exps = [0, 0, 0]
-        exps[idx] = 1
-        return cls.monomial(*exps)
-
-    @classmethod
-    def linear(cls, cx, cy, cz) -> "TrivariatePoly":
-        """The linear form cx*x + cy*y + cz*z."""
-        wrap = lambda c: c if isinstance(c, CycRat) else CycRat(c)
-        return cls(1, {(1, 0, 0): wrap(cx), (0, 1, 0): wrap(cy), (0, 0, 1): wrap(cz)})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -277,23 +252,6 @@ class TrivariatePoly:
         return TrivariatePoly(
             self.degree, {key: c * val for key, val in self.coeffs.items()}
         )
-
-    def mul_linear(self, lin: "TrivariatePoly") -> "TrivariatePoly":
-        """Multiply by a homogeneous linear form; degree rises by one."""
-        if lin.degree != 1:
-            raise DegreeMismatchError("multiplier must have degree 1")
-        coeffs: dict = {}
-        for (i, j, k), a in self.coeffs.items():
-            for (di, dj, dk), b in lin.coeffs.items():
-                key = (i + di, j + dj, k + dk)
-                term = a * b
-                acc = coeffs.get(key)
-                total = term if acc is None else acc + term
-                if total:
-                    coeffs[key] = total
-                elif acc is not None:
-                    del coeffs[key]
-        return TrivariatePoly(self.degree + 1, coeffs)
 
     def evaluate(self, vx: CycRat, vy: CycRat, vz: CycRat) -> CycRat:
         total = ZERO

@@ -96,9 +96,6 @@ class WitnessReport:
     notes: str = ""
     traces: tuple | None = None
 
-    def all_identities_hold(self) -> bool:
-        return all(ok for _, ok in self.identities_checked)
-
     def to_obj(self) -> dict:
         return {
             "family": self.family.to_obj(),

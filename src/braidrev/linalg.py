@@ -2,14 +2,17 @@
 
 Matrices carry optional row/column block annotations so that a single
 n x n matrix can be read as a grid of sub-blocks (the representation data
-of the 2x3 star quiver).  All algorithms are exact: Gaussian elimination
-pivots on the first nonzero entry scanning down a column, which is legal
-over a field and keeps kernels and inverses deterministic.
+of the 2x3 star quiver).  All algorithms are exact and share one
+elimination kernel, ``_eliminate``: it pivots on the first nonzero entry
+scanning down a column, which is legal over a field and keeps kernels and
+inverses deterministic.  Determinant, rank, inverse and nullspace are read
+off its result, and the determinant of a pencil is interpolated from
+determinants and solved for with it.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from typing import Iterable, Sequence
 
 from .cyclotomic import CycRat, ONE, ZERO, TrivariatePoly, parse_cycrat
@@ -237,49 +240,32 @@ class CycMatrix:
         n = self.rows
         work = [list(row) + [ONE if i == j else ZERO for j in range(n)]
                 for i, row in enumerate(self.entries)]
-        rank = _eliminate(work, n)
+        rank = len(_eliminate(work, n))
         if rank < n:
             raise SingularMatrixError("matrix is singular", rank)
         inv = [row[n:] for row in work]
         return CycMatrix(inv, row_blocks=self.col_blocks, col_blocks=self.row_blocks)
 
     def det(self) -> CycRat:
-        """Exact determinant via forward elimination."""
+        """Exact determinant: the signed product of the forward-elimination pivots."""
         if not self.is_square():
             raise ShapeError("determinant of a non-square matrix")
         n = self.rows
-        work = [list(row) for row in self.entries]
-        sign = 1
-        det = ONE
-        for col in range(n):
-            piv = None
-            for i in range(col, n):
-                if work[i][col]:
-                    piv = i
-                    break
-            if piv is None:
-                return ZERO
-            if piv != col:
-                work[col], work[piv] = work[piv], work[col]
-                sign = -sign
-            pivot = work[col][col]
-            det = det * pivot
-            pinv = pivot.inverse()
-            prow = work[col]
-            for i in range(col + 1, n):
-                f = work[i][col]
-                if not f:
-                    continue
-                f = f * pinv
-                row = work[i]
-                for j in range(col, n):
-                    if prow[j]:
-                        row[j] = row[j] - f * prow[j]
-        return det if sign == 1 else -det
+        rows = [list(row) for row in self.entries]
+        work = list(rows)
+        if len(_eliminate(work, n, reduce_up=False)) < n:
+            return ZERO
+        # _eliminate swaps the row lists of ``work``; the sign is the parity
+        # of the permutation that takes ``rows`` to ``work``.
+        origin = {id(row): i for i, row in enumerate(rows)}
+        order = [origin[id(row)] for row in work]
+        swaps = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+        det = math.prod((row[i] for i, row in enumerate(work)), start=ONE)
+        return -det if swaps % 2 else det
 
     def rank(self) -> int:
         work = [list(row) for row in self.entries]
-        return _eliminate(work, self.cols, reduce_up=False)
+        return len(_eliminate(work, self.cols, reduce_up=False))
 
     def nullspace(self) -> list:
         """Basis of the right kernel as column vectors (n x 1 matrices).
@@ -289,7 +275,7 @@ class CycMatrix:
         which keeps the output deterministic.
         """
         work = [list(row) for row in self.entries]
-        pivots = _eliminate(work, self.cols, reduce_up=True, return_pivots=True)
+        pivots = _eliminate(work, self.cols)
         pivot_set = set(pivots)
         free = [j for j in range(self.cols) if j not in pivot_set]
         basis = []
@@ -334,19 +320,14 @@ class CycMatrix:
             mat = cls(entries)
         return mat.with_blocks(obj.get("row_blocks"), obj.get("col_blocks"))
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_obj(), **kwargs)
 
-    @classmethod
-    def from_json(cls, text: str) -> "CycMatrix":
-        return cls.from_obj(json.loads(text))
-
-
-def _eliminate(work, ncols, reduce_up=True, return_pivots=False):
+def _eliminate(work, ncols, reduce_up=True):
     """In-place row reduction of ``work`` over its first ``ncols`` columns.
 
     Rows may be wider than ``ncols`` (augmented systems); trailing columns
-    ride along.  Returns the rank, or the pivot-column list when asked.
+    ride along.  With ``reduce_up`` the result is the reduced row echelon
+    form; without it, an echelon form whose pivots keep their values.
+    Returns the list of pivot columns.
     """
     nrows = len(work)
     width = len(work[0]) if nrows else ncols
@@ -364,9 +345,10 @@ def _eliminate(work, ncols, reduce_up=True, return_pivots=False):
             work[r], work[piv] = work[piv], work[r]
         prow = work[r]
         pinv = prow[c].inverse()
-        for j in range(c, width):
-            if prow[j]:
-                prow[j] = pinv * prow[j]
+        if reduce_up:
+            for j in range(c, width):
+                if prow[j]:
+                    prow[j] = pinv * prow[j]
         span = range(nrows) if reduce_up else range(r + 1, nrows)
         for i in span:
             if i == r:
@@ -374,6 +356,8 @@ def _eliminate(work, ncols, reduce_up=True, return_pivots=False):
             f = work[i][c]
             if not f:
                 continue
+            if not reduce_up:
+                f = f * pinv
             row = work[i]
             row[c] = ZERO
             for j in range(c + 1, width):
@@ -383,7 +367,33 @@ def _eliminate(work, ncols, reduce_up=True, return_pivots=False):
         r += 1
         if r == nrows:
             break
-    return pivots if return_pivots else len(pivots)
+    return pivots
+
+
+def span_closure_dim(one, gens, mul, insert, full: int) -> int:
+    """Dimension of the span of all words in ``gens``, over any field.
+
+    Closes the span of ``one`` and ``gens`` under left multiplication, with
+    ``mul(gen, mat)`` the product and ``insert(mat)`` adding ``mat`` to the
+    caller's echelon basis and returning whether it was a new direction.
+    The loop ends when no candidate is new or ``full`` is reached.
+    """
+    dim = 0
+    queue = []
+    for seed in (one, *gens):
+        if insert(seed):
+            dim += 1
+            queue.append(seed)
+    while queue and dim < full:
+        mat = queue.pop()
+        for gen in gens:
+            child = mul(gen, mat)
+            if insert(child):
+                dim += 1
+                queue.append(child)
+                if dim == full:
+                    break
+    return dim
 
 
 def block_compose(grid: Sequence[Sequence[CycMatrix]]) -> CycMatrix:
@@ -452,8 +462,11 @@ def block_diag(blocks: Sequence[CycMatrix]) -> CycMatrix:
 def pencil_det(P: CycMatrix, Q: CycMatrix, R: CycMatrix) -> TrivariatePoly:
     """Determinant of the pencil P*x + Q*y + R*z as a homogeneous polynomial.
 
-    Computed by cofactor expansion over polynomial entries, which is exact
-    and entirely adequate for the small pencil sizes that occur here.
+    A homogeneous polynomial of degree m is fixed by its values on the
+    principal lattice {(i, j, m-i-j) : i, j >= 0, i + j <= m}, which is
+    unisolvent for that space (Chung and Yao, 1977).  So the pencil's
+    determinant is evaluated exactly at those (m+1)(m+2)/2 points, and its
+    coefficients are the solution of the integer monomial system there.
     """
     for M in (Q, R):
         if M.shape != P.shape:
@@ -461,31 +474,16 @@ def pencil_det(P: CycMatrix, Q: CycMatrix, R: CycMatrix) -> TrivariatePoly:
     if not P.is_square():
         raise ShapeError("pencil matrices must be square")
     m = P.rows
-    pencil = [
-        [
-            TrivariatePoly.linear(P.entries[i][j], Q.entries[i][j], R.entries[i][j])
-            for j in range(m)
+    lattice = [(i, j, m - i - j) for i in range(m + 1) for j in range(m + 1 - i)]
+    # One row per lattice point: the monomials evaluated there, then the
+    # pencil's determinant there.  The lattice also lists the exponents.
+    system = []
+    for i, j, k in lattice:
+        pencil = [
+            [i * p + j * q + k * r for p, q, r in zip(prow, qrow, rrow)]
+            for prow, qrow, rrow in zip(P.entries, Q.entries, R.entries)
         ]
-        for i in range(m)
-    ]
-    return _poly_det(pencil, m)
-
-
-def _poly_det(rows: list, m: int) -> TrivariatePoly:
-    if m == 0:
-        return TrivariatePoly.monomial(0, 0, 0)
-    if m == 1:
-        return rows[0][0]
-    total = TrivariatePoly.zero(m)
-    for j in range(m):
-        entry = rows[0][j]
-        if entry.is_zero():
-            continue
-        minor = [
-            [rows[i][c] for c in range(m) if c != j] for i in range(1, m)
-        ]
-        term = _poly_det(minor, m - 1).mul_linear(entry)
-        if j % 2:
-            term = term.scale(CycRat(-1))
-        total = total + term
-    return total
+        values = [CycRat(i ** a * j ** b * k ** c) for a, b, c in lattice]
+        system.append(values + [CycMatrix._raw(m, m, pencil).det()])
+    _eliminate(system, len(lattice))
+    return TrivariatePoly(m, {mono: row[-1] for mono, row in zip(lattice, system)})

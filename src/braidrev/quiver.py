@@ -81,8 +81,11 @@ class DimVector:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "DimVector":
-        return cls(int(obj["a"]), int(obj["b"]), int(obj["x"]),
-                   int(obj["y"]), int(obj["z"]))
+        try:
+            return cls(int(obj["a"]), int(obj["b"]), int(obj["x"]),
+                       int(obj["y"]), int(obj["z"]))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed dimension vector object: {exc}") from exc
 
 
 def is_simple_dimvector(d: DimVector) -> bool:
@@ -137,7 +140,15 @@ class QuiverRep:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "QuiverRep":
-        return cls(DimVector.from_obj(obj["dims"]), CycMatrix.from_obj(obj["B"]))
+        """Quiver data read from a file; unlike the constructor, this checks
+        that B is invertible."""
+        try:
+            V = cls(DimVector.from_obj(obj["dims"]), CycMatrix.from_obj(obj["B"]))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed quiver object: {exc}") from exc
+        if not V.B.det():
+            raise ValueError("base-change matrix B is singular")
+        return V
 
 
 @dataclass(frozen=True)
@@ -161,12 +172,6 @@ class GLAlphaElement:
 
     def is_invertible(self) -> bool:
         return all(blk.det() != ZERO for blk in self.blocks())
-
-    def is_zero(self) -> bool:
-        return all(blk.is_zero() for blk in self.blocks())
-
-    def compose(self, other: "GLAlphaElement") -> "GLAlphaElement":
-        return GLAlphaElement(*(s @ o for s, o in zip(self.blocks(), other.blocks())))
 
     def inverse(self) -> "GLAlphaElement":
         return GLAlphaElement(*(blk.inverse() for blk in self.blocks()))

@@ -13,6 +13,7 @@ from braidrev import (
     ONE,
     QuiverRep,
     RHO2,
+    block_diag,
     build_rep,
     evaluate,
     is_simple,
@@ -24,6 +25,7 @@ from braidrev import (
     tau_rep,
     trace_of,
 )
+from braidrev import _modp
 from braidrev.braid import _burnside_rank_exact, _sign_matrix
 from conftest import invertible, stable_rep
 
@@ -220,6 +222,19 @@ class TestSimplicity:
         phi = build_rep(stable_rep((2, 2, 2, 1, 1), 46))
         assert _burnside_rank_exact(phi) == 16
         assert is_simple(phi)
+
+    def test_non_isomorphic_pair_spans_two_blocks(self):
+        # (2,1;1,1,1) and (1,2;1,1,1) are simple and not isomorphic, so
+        # their sum generates M_3 x M_3, of dimension 18, on both paths.
+        phi = build_rep(stable_rep((2, 1, 1, 1, 1), 50))
+        psi = build_rep(stable_rep((1, 2, 1, 1, 1), 51))
+        both = B3Rep(block_diag([phi.X1, psi.X1]), block_diag([phi.X2, psi.X2]))
+        assert _burnside_rank_exact(both) == 18
+        p, rho_img = _modp.PRIMES[0]
+        a1 = _modp.matrix_mod(both.X1, p, rho_img)
+        a2 = _modp.matrix_mod(both.X2, p, rho_img)
+        assert _modp.burnside_rank_mod(a1, a2, p) == 18
+        assert not is_simple(both)
 
     def test_invariant_under_action(self, rng):
         from test_quiver import random_group_element

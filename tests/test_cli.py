@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -189,6 +190,36 @@ class TestFileCommands:
             run_cli("trace", "--rep", "/nonexistent.json", "--braid", "s1").returncode
             == 2
         )
+
+
+DIMS_2 = DimVector(1, 1, 1, 0, 1).to_obj()
+SINGULAR_QUIVER = {"dims": DIMS_2,
+                   "B": {"rows": 2, "cols": 2, "entries": [["1", "1"], ["1", "1"]]}}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "args,content,env",
+        [
+            (["isom", "--rep1", "{f}", "--rep2", "{f}"], SINGULAR_QUIVER, {}),
+            (["build", "--quiver", "{f}"], {"dims": DIMS_2}, {}),
+            (["isom", "--rep1", "{f}", "--rep2", "{f}"], {"dims": DIMS_2}, {}),
+            (["build", "--quiver", "{f}"], [], {}),
+            (["trace", "--rep", "{f}", "--braid", "s1"], [], {}),
+            (["reversion", "--alpha", "2,1,1,1,1", "--trials", "1"], None,
+             {"BRAIDREV_SEED": "abc"}),
+        ],
+        ids=["isom-singular-B", "build-no-B", "isom-no-B", "build-list",
+             "trace-list", "bad-env-seed"],
+    )
+    def test_usage_error_without_traceback(self, tmp_path, args, content, env):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        result = run_cli(*(a.replace("{f}", str(path)) for a in args),
+                         env=dict(os.environ, **env))
+        assert result.returncode == 2
+        assert "error" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestJumpingExperimental:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from braidrev import (
+    CycMatrix,
     CycRat,
     ONE,
     RHO,
@@ -12,6 +13,7 @@ from braidrev import (
     TrivariatePoly,
     ZERO,
     parse_cycrat,
+    pencil_det,
     poly_proportional,
 )
 from braidrev.cyclotomic import DegreeMismatchError
@@ -120,9 +122,11 @@ class TestTextSyntax:
             parse_cycrat(bad)
 
 
-x = TrivariatePoly.variable("x")
-y = TrivariatePoly.variable("y")
-z = TrivariatePoly.variable("z")
+x = TrivariatePoly.monomial(1, 0, 0)
+y = TrivariatePoly.monomial(0, 1, 0)
+z = TrivariatePoly.monomial(0, 0, 1)
+# x^2 - y^2 from its coefficients
+x2_minus_y2 = TrivariatePoly(2, {(2, 0, 0): ONE, (0, 2, 0): CycRat(-1)})
 
 
 class TestTrivariatePoly:
@@ -137,28 +141,25 @@ class TestTrivariatePoly:
         assert q.is_zero() and q.degree == 1
 
     def test_difference_of_squares(self):
-        p = (x + y).mul_linear(x - y)
-        assert p == TrivariatePoly(
-            2, {(2, 0, 0): ONE, (0, 2, 0): CycRat(-1)}
+        # det diag(x + y, x - y) = (x + y)(x - y)
+        p = pencil_det(
+            CycMatrix.identity(2), CycMatrix.diagonal([1, -1]), CycMatrix.zeros(2, 2)
         )
+        assert p == x2_minus_y2
 
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatchError):
-            x + x.mul_linear(y)
-
-    def test_mul_linear_requires_linear(self):
-        with pytest.raises(DegreeMismatchError):
-            x.mul_linear(x.mul_linear(y))
+            x + TrivariatePoly.monomial(1, 1, 0)
 
     def test_evaluate(self):
-        p = (x + y).mul_linear(x - y)
+        p = x2_minus_y2
         assert p.evaluate(CycRat(3), CycRat(2), ZERO) == CycRat(5)
         assert p.evaluate(RHO, RHO, ONE) == ZERO
 
     def test_proportional(self):
-        x2 = x.mul_linear(x)
+        x2 = TrivariatePoly.monomial(2, 0, 0)
         assert poly_proportional(x2, x2.scale(CycRat(3)))
-        assert not poly_proportional(x2, x.mul_linear(y))
+        assert not poly_proportional(x2, TrivariatePoly.monomial(1, 1, 0))
         assert poly_proportional(TrivariatePoly.zero(2), TrivariatePoly.zero(2))
         assert not poly_proportional(x2, TrivariatePoly.zero(2))
         assert poly_proportional(x2.scale(RHO), x2)

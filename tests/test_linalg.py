@@ -1,7 +1,10 @@
+import itertools
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidrev import (
     CycMatrix,
@@ -19,6 +22,23 @@ from braidrev import (
     pencil_det,
 )
 from conftest import invertible
+
+small_cycrats = st.builds(CycRat, st.integers(-3, 3), st.integers(-3, 3))
+
+
+def square_matrices(n: int):
+    row = st.lists(small_cycrats, min_size=n, max_size=n)
+    return st.lists(row, min_size=n, max_size=n).map(CycMatrix)
+
+
+def leibniz_det(m: CycMatrix) -> CycRat:
+    """Sum over permutations of the signed products of entries."""
+    total = ZERO
+    for perm in itertools.permutations(range(m.rows)):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        term = math.prod((m[i, j] for i, j in enumerate(perm)), start=ONE)
+        total = total - term if inversions % 2 else total + term
+    return total
 
 
 class TestMultiply:
@@ -126,6 +146,16 @@ class TestDeterminant:
         m = CycMatrix([[2, 5], [0, 3]])
         assert m.det() == CycRat(6)
 
+    def test_odd_permutation(self):
+        # the rows of I_4 cycled by one place: a 4-cycle, which is odd
+        m = CycMatrix([[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+        assert m.det() == CycRat(-1)
+
+    @given(st.integers(1, 4).flatmap(square_matrices))
+    @settings(deadline=None)
+    def test_matches_leibniz(self, m):
+        assert m.det() == leibniz_det(m)
+
 
 class TestBlocks:
     def test_single_block(self):
@@ -169,7 +199,7 @@ class TestPencilDet:
     def test_scalar_pencil(self):
         one = CycMatrix.identity(1)
         p = pencil_det(one, one, one)
-        assert p == TrivariatePoly.linear(1, 1, 1)
+        assert p == TrivariatePoly(1, {(1, 0, 0): ONE, (0, 1, 0): ONE, (0, 0, 1): ONE})
 
     def test_x_squared(self):
         p = pencil_det(CycMatrix.identity(2), CycMatrix.zeros(2, 2), CycMatrix.zeros(2, 2))
@@ -180,10 +210,16 @@ class TestPencilDet:
         p, q, r = mats
 
         def lin(i, j):
-            return TrivariatePoly.linear(p[i, j], q[i, j], r[i, j])
+            return (p[i, j], q[i, j], r[i, j])
 
-        oracle = lin(0, 0).mul_linear(lin(1, 1)) - lin(0, 1).mul_linear(lin(1, 0))
-        assert pencil_det(p, q, r) == oracle
+        # (a . v)(d . v) - (b . v)(c . v) for v = (x, y, z), collected by monomial
+        a, b, c, d = lin(0, 0), lin(0, 1), lin(1, 0), lin(1, 1)
+        coeffs = {}
+        for s in range(3):
+            for t in range(3):
+                key = tuple((v == s) + (v == t) for v in range(3))
+                coeffs[key] = coeffs.get(key, ZERO) + a[s] * d[t] - b[s] * c[t]
+        assert pencil_det(p, q, r) == TrivariatePoly(2, coeffs)
 
     def test_evaluation_matches_elimination_det(self, rng):
         mats = [invertible(rng, 3) for _ in range(3)]
@@ -193,6 +229,19 @@ class TestPencilDet:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             pencil_det(CycMatrix.identity(2), CycMatrix.identity(3), CycMatrix.identity(2))
+
+    # Points with a nonzero w-component are off the integer lattice on which
+    # pencil_det interpolates.
+    @given(
+        st.integers(1, 4).flatmap(lambda m: st.tuples(*[square_matrices(m)] * 3)),
+        st.tuples(*[st.builds(CycRat, st.integers(-3, 3), st.integers(1, 3))] * 3),
+    )
+    @settings(deadline=None, max_examples=30)
+    def test_matches_det_off_lattice(self, mats, point):
+        P, Q, R = mats
+        x, y, z = point
+        pencil = P.scale(x) + Q.scale(y) + R.scale(z)
+        assert pencil_det(P, Q, R).evaluate(x, y, z) == pencil.det()
 
 
 class TestJson:
