@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from . import _modp
 from .braid import EIGHT_SEVENTEEN, build_rep, is_simple, reverse_braid, trace_of
 from .cyclotomic import CycRat, ONE, TrivariatePoly, ZERO, poly_proportional
 from .linalg import (
@@ -128,7 +129,7 @@ def random_matrix(rng: random.Random, rows: int, cols: int) -> CycMatrix:
 def random_invertible(rng: random.Random, n: int, attempts: int = 64) -> CycMatrix:
     for _ in range(attempts):
         mat = random_matrix(rng, n, n)
-        if mat.det():
+        if _modp.det_nonzero(mat):
             return mat
     raise SamplingError(f"no invertible {n}x{n} matrix in {attempts} attempts")
 
@@ -140,7 +141,7 @@ def sample_stable_rep(dims: DimVector, rng: random.Random,
     n = dims.n
     for _ in range(attempts):
         B = random_matrix(rng, n, n)
-        if not B.det():
+        if not _modp.det_nonzero(B):
             continue
         V = QuiverRep(dims, B)
         if is_simple(build_rep(V)):
@@ -162,9 +163,9 @@ def make_even_family(k: int, A: CycMatrix) -> QuiverRep:
     if A.shape != (k, k):
         raise ShapeError(f"A must be {k}x{k}, got {A.shape}")
     ident = CycMatrix.identity(k)
-    if not A.det():
+    if not _modp.det_nonzero(A):
         raise SingularMatrixError("A is singular", A.rank())
-    if not (A - ident).det():
+    if not _modp.det_nonzero(A - ident):
         raise SingularMatrixError("A - I is singular", (A - ident).rank())
     B = block_compose([[ident, ident], [A, ident]])
     return QuiverRep(DimVector(k, k, k, k - 1, 1), B)
@@ -188,7 +189,7 @@ def sample_even_matrix(rng: random.Random, k: int, attempts: int = 64) -> CycMat
                 entries[i][j] = v
                 entries[j][i] = v
         A = CycMatrix(entries)
-        if A.det() and (A - ident).det():
+        if _modp.det_nonzero(A) and _modp.det_nonzero(A - ident):
             return A
     raise SamplingError(f"no valid symmetric {k}x{k} matrix in {attempts} attempts")
 
@@ -316,7 +317,7 @@ def make_dim6_detecting(params) -> QuiverRep:
             [g, zero, one, zero, zero, one],
         ]
     )
-    if not B.det():
+    if not _modp.det_nonzero(B):
         raise SingularMatrixError("parameters give a singular base change", B.rank())
     return QuiverRep(DimVector(3, 3, 2, 2, 2), B)
 
@@ -386,7 +387,7 @@ def make_dim42_exceptional(params) -> QuiverRep:
             [zero, zero, one, zero, zero, one],
         ]
     )
-    if not B.det():
+    if not _modp.det_nonzero(B):
         raise SingularMatrixError("parameters give a singular base change", B.rank())
     return QuiverRep(DimVector(4, 2, 2, 2, 2), B)
 

@@ -12,6 +12,7 @@ determinants and solved for with it.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Sequence
 
@@ -466,7 +467,8 @@ def pencil_det(P: CycMatrix, Q: CycMatrix, R: CycMatrix) -> TrivariatePoly:
     principal lattice {(i, j, m-i-j) : i, j >= 0, i + j <= m}, which is
     unisolvent for that space (Chung and Yao, 1977).  So the pencil's
     determinant is evaluated exactly at those (m+1)(m+2)/2 points, and its
-    coefficients are the solution of the integer monomial system there.
+    coefficients are the solution of the integer monomial system there,
+    read off with that system's inverse (which depends only on m).
     """
     for M in (Q, R):
         if M.shape != P.shape:
@@ -474,16 +476,27 @@ def pencil_det(P: CycMatrix, Q: CycMatrix, R: CycMatrix) -> TrivariatePoly:
     if not P.is_square():
         raise ShapeError("pencil matrices must be square")
     m = P.rows
-    lattice = [(i, j, m - i - j) for i in range(m + 1) for j in range(m + 1 - i)]
-    # One row per lattice point: the monomials evaluated there, then the
-    # pencil's determinant there.  The lattice also lists the exponents.
-    system = []
+    lattice = _principal_lattice(m)
+    values = []
     for i, j, k in lattice:
         pencil = [
             [i * p + j * q + k * r for p, q, r in zip(prow, qrow, rrow)]
             for prow, qrow, rrow in zip(P.entries, Q.entries, R.entries)
         ]
-        values = [CycRat(i ** a * j ** b * k ** c) for a, b, c in lattice]
-        system.append(values + [CycMatrix._raw(m, m, pencil).det()])
-    _eliminate(system, len(lattice))
-    return TrivariatePoly(m, {mono: row[-1] for mono, row in zip(lattice, system)})
+        values.append([CycMatrix._raw(m, m, pencil).det()])
+    coeffs = _monomial_inverse(m) @ CycMatrix._raw(len(lattice), 1, values)
+    return TrivariatePoly(m, {mono: row[0] for mono, row in zip(lattice, coeffs.entries)})
+
+
+def _principal_lattice(m: int) -> list:
+    """The points (i, j, m-i-j); they double as the exponents of the monomials."""
+    return [(i, j, m - i - j) for i in range(m + 1) for j in range(m + 1 - i)]
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_inverse(m: int) -> CycMatrix:
+    """Inverse of the monomials of degree m evaluated on the principal lattice:
+    row per lattice point, column per monomial."""
+    lattice = _principal_lattice(m)
+    return CycMatrix([[i ** a * j ** b * k ** c for a, b, c in lattice]
+                      for i, j, k in lattice]).inverse()

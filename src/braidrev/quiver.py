@@ -13,10 +13,12 @@ orbit of that action.  The transpose involution sends B to (B^{-1})^tr.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
-from .cyclotomic import CycRat, ZERO
+from . import _modp
+from .cyclotomic import CycRat
 from .linalg import (
     CycMatrix,
     ShapeError,
@@ -146,7 +148,7 @@ class QuiverRep:
             V = cls(DimVector.from_obj(obj["dims"]), CycMatrix.from_obj(obj["B"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed quiver object: {exc}") from exc
-        if not V.B.det():
+        if not _modp.det_nonzero(V.B):
             raise ValueError("base-change matrix B is singular")
         return V
 
@@ -171,7 +173,7 @@ class GLAlphaElement:
         return block_diag([self.N1, self.N2, self.N3])
 
     def is_invertible(self) -> bool:
-        return all(blk.det() != ZERO for blk in self.blocks())
+        return all(_modp.det_nonzero(blk) for blk in self.blocks())
 
     def inverse(self) -> "GLAlphaElement":
         return GLAlphaElement(*(blk.inverse() for blk in self.blocks()))
@@ -223,31 +225,38 @@ def hom_space(V: QuiverRep, W: QuiverRep) -> list:
     side: N = W.B . diag(M) . V.B^{-1} must be block diagonal, which is a
     linear condition on the entries of (M1, M2).  The returned basis is
     deterministic (reduced echelon form of that condition).
+
+    Hom spaces of dimension 0 or 1 are found modulo primes and certified
+    exactly (``_modp.hom_kernel``); any other case, or one the primes
+    cannot certify, is solved by exact elimination (``_hom_space_exact``).
+    The basis is the same either way.
     """
+    if V.dims != W.dims:
+        raise ShapeError(f"dimension vectors differ: {V.dims} vs {W.dims}")
+    v_inv = functools.cache(V.B.inverse)  # not needed for an empty hom space
+    basis = _modp.hom_kernel(
+        V, W, lambda flat: _hom_element(V.dims, W.B, v_inv(), flat, check=True))
+    if basis is None:
+        basis = _hom_space_exact(V, W, v_inv())
+    return basis
+
+
+def _hom_space_exact(V: QuiverRep, W: QuiverRep, v_inv: CycMatrix | None = None) -> list:
+    """``hom_space`` by exact elimination of the whole system: the fallback
+    and the reference for the modular route."""
     if V.dims != W.dims:
         raise ShapeError(f"dimension vectors differ: {V.dims} vs {W.dims}")
     d = V.dims
     n = d.n
-    v_inv = V.B.inverse()
+    if v_inv is None:
+        v_inv = V.B.inverse()
     wb = W.B
-    src_sizes = d.source_blocks
-    src_offs = (0, d.a)
-    snk_sizes = d.sink_blocks
-    snk_offs = (0, d.x, d.x + d.y)
 
     # Column layout: M1 entries row-major, then M2 entries row-major.
-    def unknown_columns():
-        for size, off in zip(src_sizes, src_offs):
-            for k in range(size):
-                for l in range(size):
-                    yield off + k, off + l
-
-    columns = list(unknown_columns())
-    m_count = len(columns)
-
-    snk_block_of = []
-    for idx, size in enumerate(snk_sizes):
-        snk_block_of.extend([idx] * size)
+    columns = [(off + k, off + l)
+               for size, off in zip(d.source_blocks, (0, d.a))
+               for k in range(size) for l in range(size)]
+    sink = _sink_block_of(d)
 
     # One constraint per entry of N sitting off the sink block diagonal.
     v_cols = [[v_inv.entries[l][c] for l in range(n)] for c in range(n)]
@@ -255,30 +264,46 @@ def hom_space(V: QuiverRep, W: QuiverRep) -> list:
     for r in range(n):
         wrow = wb.entries[r]
         for c in range(n):
-            if snk_block_of[r] == snk_block_of[c]:
+            if sink[r] == sink[c]:
                 continue
             vcol = v_cols[c]
             rows.append([wrow[k] * vcol[l] for (k, l) in columns])
-    system = CycMatrix._raw(len(rows), m_count, rows)
-    kernel = system.nullspace()
+    system = CycMatrix._raw(len(rows), len(columns), rows)
+    return [_hom_element(d, wb, v_inv, [vec.entries[i][0] for i in range(len(columns))])
+            for vec in system.nullspace()]
 
-    basis = []
-    for vec in kernel:
-        flat = [vec.entries[i][0] for i in range(m_count)]
-        m_blocks = []
-        pos = 0
-        for size in src_sizes:
-            blk = [flat[pos + i * size : pos + (i + 1) * size] for i in range(size)]
-            m_blocks.append(CycMatrix._raw(size, size, blk))
-            pos += size * size
-        prod = wb @ block_diag(m_blocks) @ v_inv
-        n_blocks = []
-        for size, off in zip(snk_sizes, snk_offs):
-            blk = [[prod.entries[off + i][off + j] for j in range(size)]
-                   for i in range(size)]
-            n_blocks.append(CycMatrix._raw(size, size, blk))
-        basis.append(GLAlphaElement(m_blocks[0], m_blocks[1], *n_blocks))
-    return basis
+
+def _sink_block_of(d: DimVector) -> list:
+    """Index of the sink block (0, 1 or 2) of each row."""
+    return [idx for idx, size in enumerate(d.sink_blocks) for _ in range(size)]
+
+
+def _hom_element(d: DimVector, wb: CycMatrix, v_inv: CycMatrix, flat: list,
+                 check: bool = False) -> GLAlphaElement | None:
+    """The morphism with source blocks read from ``flat`` (M1 then M2, each
+    row-major) and sink blocks from N = W.B . diag(M) . V.B^{-1}.
+
+    With ``check``, None unless N is exactly block diagonal: that is the
+    whole intertwiner system applied to ``flat``.
+    """
+    m_blocks = []
+    pos = 0
+    for size in d.source_blocks:
+        blk = [flat[pos + i * size : pos + (i + 1) * size] for i in range(size)]
+        m_blocks.append(CycMatrix._raw(size, size, blk))
+        pos += size * size
+    prod = wb @ block_diag(m_blocks) @ v_inv
+    if check:
+        sink = _sink_block_of(d)
+        if any(v for r, row in enumerate(prod.entries)
+               for c, v in enumerate(row) if sink[r] != sink[c]):
+            return None
+    n_blocks = []
+    for size, off in zip(d.sink_blocks, (0, d.x, d.x + d.y)):
+        blk = [[prod.entries[off + i][off + j] for j in range(size)]
+               for i in range(size)]
+        n_blocks.append(CycMatrix._raw(size, size, blk))
+    return GLAlphaElement(m_blocks[0], m_blocks[1], *n_blocks)
 
 
 @dataclass(frozen=True)

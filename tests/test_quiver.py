@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidrev import (
     CycMatrix,
@@ -20,7 +21,9 @@ from braidrev import (
     trace_of,
     parse_braid,
 )
-from braidrev.families import random_matrix
+from braidrev import _modp, quiver
+from braidrev.families import make_odd_family, random_matrix
+from braidrev.quiver import _hom_space_exact
 from conftest import invertible, stable_rep
 
 
@@ -195,6 +198,129 @@ class TestHomSpace:
         W = QuiverRep(DimVector(1, 1, 1, 0, 1), CycMatrix([[1, 1], [2, 1]]))
         with pytest.raises(ShapeError):
             hom_space(V, W)
+
+
+def direct_sum(V: QuiverRep, W: QuiverRep) -> QuiverRep:
+    """V + W, with each of the five blocks holding V's part then W's."""
+    def positions(sizes_v, sizes_w):
+        pos_v, pos_w, at = [], [], 0
+        for sv, sw in zip(sizes_v, sizes_w):
+            pos_v += range(at, at + sv)
+            pos_w += range(at + sv, at + sv + sw)
+            at += sv + sw
+        return pos_v, pos_w
+
+    dv, dw = V.dims, W.dims
+    dims = DimVector(dv.a + dw.a, dv.b + dw.b, dv.x + dw.x, dv.y + dw.y, dv.z + dw.z)
+    rows = positions(dv.sink_blocks, dw.sink_blocks)
+    cols = positions(dv.source_blocks, dw.source_blocks)
+    entries = [[CycRat(0)] * dims.n for _ in range(dims.n)]
+    for rep, rpos, cpos in ((V, rows[0], cols[0]), (W, rows[1], cols[1])):
+        for i, r in enumerate(rpos):
+            for j, c in enumerate(cpos):
+                entries[r][c] = rep.B[i, j]
+    return QuiverRep(dims, CycMatrix(entries))
+
+
+class counting_nullspace:
+    """Context manager counting exact ``CycMatrix.nullspace`` calls."""
+
+    def __enter__(self):
+        self.calls = 0
+        self._mp = pytest.MonkeyPatch()
+        orig = CycMatrix.nullspace
+
+        def wrapper(mat):
+            self.calls += 1
+            return orig(mat)
+
+        self._mp.setattr(CycMatrix, "nullspace", wrapper)
+        return self
+
+    def __exit__(self, *exc):
+        self._mp.undo()
+
+
+SIMPLE_DIMS = ((2, 1, 1, 1, 1), (1, 2, 1, 1, 1), (2, 2, 2, 1, 1), (3, 2, 2, 2, 1),
+               (3, 3, 2, 2, 2))
+
+
+class TestModularHomSpace:
+    """The modular route of ``hom_space`` against ``_hom_space_exact``."""
+
+    @given(st.sampled_from(SIMPLE_DIMS), st.integers(0, 10 ** 6),
+           st.integers(0, 10 ** 6), st.sampled_from(("self", "tau", "other")))
+    @settings(deadline=None, max_examples=20)
+    def test_stable_points(self, dims, seed, other_seed, pairing):
+        V = stable_rep(dims, seed)
+        W = {"self": V, "tau": tau_quiver(V),
+             "other": stable_rep(dims, other_seed)}[pairing]
+        with counting_nullspace() as count:
+            basis = hom_space(W, V)
+        assert count.calls == 0
+        assert len(basis) <= 1
+        assert basis == _hom_space_exact(W, V)
+
+    @given(st.sampled_from(SIMPLE_DIMS[:3]), st.sampled_from(SIMPLE_DIMS[:3]),
+           st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.booleans())
+    @settings(deadline=None, max_examples=15)
+    def test_direct_sums_fall_back(self, dims_1, dims_2, seed_1, seed_2, same):
+        V1 = stable_rep(dims_1, seed_1)
+        V2 = V1 if same else stable_rep(dims_2, seed_2)
+        S = direct_sum(V1, V2)
+        g = random_group_element(S.dims, random.Random(seed_1 ^ seed_2))
+        T = act(g, S)
+        with counting_nullspace() as count:
+            basis = hom_space(S, T)
+        assert len(basis) >= 2
+        assert count.calls == 1
+        assert basis == _hom_space_exact(S, T)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_odd_family_points(self, k):
+        V = make_odd_family(k, 7)
+        W = tau_quiver(V)
+        basis = hom_space(W, V)
+        assert len(basis) == 1
+        assert basis == _hom_space_exact(W, V)
+
+    def test_too_few_primes_falls_back(self, monkeypatch):
+        V = make_odd_family(3, 11)
+        W = tau_quiver(V)
+        monkeypatch.setattr(_modp, "MAX_PRIMES", 2)
+        with counting_nullspace() as count:
+            basis = hom_space(W, V)
+        assert count.calls == 1
+        assert basis == _hom_space_exact(W, V)
+        assert len(basis) == 1
+
+    def test_rejected_candidates_fall_back(self, monkeypatch):
+        # every reconstruction has a wrong first entry, which the exact
+        # check must reject
+        V = stable_rep((2, 2, 2, 1, 1), 31)
+        W = tau_quiver(V)
+        reconstruct = _modp._reconstruct
+        element = quiver._hom_element
+        rejected = []
+
+        def corrupted(residues, m):
+            out = reconstruct(residues, m)
+            return None if out is None else [(out[0][0] + 1, out[0][1])] + out[1:]
+
+        def checked(*args, **kwargs):
+            result = element(*args, **kwargs)
+            rejected.append(result is None)
+            return result
+
+        monkeypatch.setattr(_modp, "_reconstruct", corrupted)
+        monkeypatch.setattr(_modp, "MAX_PRIMES", 16)
+        monkeypatch.setattr(quiver, "_hom_element", checked)
+        with counting_nullspace() as count:
+            basis = hom_space(W, V)
+        assert rejected and rejected[0]
+        assert count.calls == 1
+        assert basis == _hom_space_exact(W, V)
+        assert len(basis) == 1
 
 
 class TestAreIsomorphic:
