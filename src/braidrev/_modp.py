@@ -108,16 +108,13 @@ def primes():
 
 
 def _scaled_parts(mat) -> tuple:
-    """(D, re, rh) with D * mat = re + rh*w: a common denominator D and two
-    integer object arrays, so that reducing mod a prime needs one inverse."""
-    vals = [v for row in mat.entries for v in row]
-    den = math.lcm(*(int(x.denominator) for v in vals for x in (v.re, v.rh)))
-
-    def scaled(part):
-        ints = [int(x.numerator) * (den // int(x.denominator)) for x in part]
+    """(D, re, rh) with D * mat = re + rh*w: the matrix's own denominator
+    and integer parts as object arrays, so that reducing mod a prime needs
+    one inverse."""
+    def part(ints):
         return np.array(ints, dtype=object).reshape(mat.rows, mat.cols)
 
-    return den, scaled(v.re for v in vals), scaled(v.rh for v in vals)
+    return mat.den, part(mat.re), part(mat.rh)
 
 
 def _parts_mod(parts, p: int):

@@ -13,12 +13,13 @@ scalar of the group is pinned to 1 throughout, so (X1 X2)^3 = I and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import matmul
 
 from . import _modp
-from .cyclotomic import CycRat, ONE, RHO, RHO2, ZERO
-from .linalg import CycMatrix, ShapeError, block_diag, span_closure_dim
+from .cyclotomic import CycRat, ONE, RHO, RHO2
+from .linalg import CycMatrix, ShapeError, _bareiss_row, block_diag, span_closure_dim
 from .quiver import DimVector, QuiverRep
 
 __all__ = [
@@ -238,14 +239,20 @@ def _power(phi: B3Rep, gen: int, exp: int) -> CycMatrix:
 
 def evaluate(phi: B3Rep, word: BraidWord) -> CycMatrix:
     """Image of a braid word; the empty word maps to the identity."""
-    acc = CycMatrix.identity(phi.n)
+    acc = None
     for gen, exp in word.syllables:
-        acc = acc @ _power(phi, gen, exp)
-    return acc
+        power = _power(phi, gen, exp)
+        acc = power if acc is None else acc @ power
+    return CycMatrix.identity(phi.n) if acc is None else acc
 
 
 def trace_of(phi: B3Rep, word: BraidWord) -> CycRat:
-    return evaluate(phi, word).trace()
+    """Trace of the image of a braid word; of the last product only the
+    diagonal is formed."""
+    if not word.syllables:
+        return CycRat(phi.n)
+    *head, (gen, exp) = word.syllables
+    return evaluate(phi, BraidWord(tuple(head))).trace_of_product(_power(phi, gen, exp))
 
 
 def is_simple(phi: B3Rep) -> bool:
@@ -273,30 +280,46 @@ def is_simple(phi: B3Rep) -> bool:
 
 def _burnside_rank_exact(phi: B3Rep) -> int:
     """The Q(w) instance of ``span_closure_dim``: the exact reference for
-    ``_modp.burnside_rank_mod``."""
+    ``_modp.burnside_rank_mod``.
+
+    The echelon basis holds integer rows: each word is flattened to a
+    vector over Z[w], and a basis row has a positive integer N at its
+    pivot.  A candidate v is reduced by v <- N*v - v[piv]*row, row by row,
+    and every vector is divided by its integer content after each step,
+    which leaves its span as it is and keeps its entries small.  A new
+    row is multiplied by the conjugate of its pivot, which turns the
+    pivot into its norm, an integer.
+    """
     n = phi.n
     full = n * n
-    pivots: list[int] = []
-    rows: list[list] = []
+    basis: list[tuple] = []  # (pivot column, re part, rh part)
 
     def insert(mat: CycMatrix) -> bool:
-        vec = [v for row in mat.entries for v in row]
-        for piv, row in zip(pivots, rows):
-            c = vec[piv]
-            if c:
-                for j in range(piv, full):
-                    if row[j]:
-                        vec[j] = vec[j] - c * row[j]
-        piv = next((j for j, v in enumerate(vec) if v), None)
+        v0, v1 = _primitive([a for row in mat.re for a in row],
+                            [b for row in mat.rh for b in row])
+        for piv, r0, r1 in basis:
+            if v0[piv] or v1[piv]:
+                _bareiss_row(v0, v1, r0, r1, (r0[piv], 0), (v0[piv], v1[piv]), (1, 0),
+                             range(full))
+                v0, v1 = _primitive(v0, v1)
+        piv = next((j for j in range(full) if v0[j] or v1[j]), None)
         if piv is None:
             return False
-        inv = vec[piv].inverse()
-        rows.append([inv * v if v else ZERO for v in vec])
-        pivots.append(piv)
+        c0, c1 = v0[piv] - v1[piv], -v1[piv]
+        basis.append((piv, *_primitive([a * c0 - b * c1 for a, b in zip(v0, v1)],
+                                       [a * c1 + b * c0 - b * c1 for a, b in zip(v0, v1)])))
         return True
 
     return span_closure_dim(CycMatrix.identity(n), (phi.X1, phi.X2), matmul,
                             insert, full)
+
+
+def _primitive(v0: list, v1: list) -> tuple:
+    """The Z[w] vector v0 + v1*w divided by the gcd of all its integers."""
+    g = math.gcd(*v0, *v1)
+    if g > 1:
+        return [a // g for a in v0], [b // g for b in v1]
+    return v0, v1
 
 
 def recover_dimvector(phi: B3Rep) -> DimVector:

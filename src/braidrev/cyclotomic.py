@@ -1,10 +1,12 @@
 """Exact arithmetic in the cyclotomic field Q(w), w a primitive cube root
 of unity, together with homogeneous trivariate polynomials over it.
 
-Every value in this package is built from ``CycRat``: an element a + b*w
-with rational a, b, reduced by the defining relation w**2 = -1 - w.  The
-basis {1, w} makes equality a componentwise check and keeps all arithmetic
-inside exact rationals; no floating point appears anywhere.
+Every scalar in this package is a ``CycRat``: an element a + b*w with
+rational a, b (``Rational``, the standard library's ``Fraction``), reduced
+by the defining relation w**2 = -1 - w.  The basis {1, w} makes equality
+a componentwise check and keeps all arithmetic inside exact rationals; no
+floating point appears anywhere.  Matrices keep integers instead (see
+``linalg``).
 """
 
 from __future__ import annotations
@@ -12,10 +14,7 @@ from __future__ import annotations
 import re as _re
 from typing import Mapping
 
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:
-    from fractions import Fraction as Rational
+from fractions import Fraction as Rational
 
 __all__ = [
     "Rational",
@@ -209,10 +208,6 @@ class TrivariatePoly:
         raise AttributeError("TrivariatePoly is immutable")
 
     @classmethod
-    def zero(cls, degree: int) -> "TrivariatePoly":
-        return cls(degree, {})
-
-    @classmethod
     def monomial(cls, i: int, j: int, k: int, coeff=ONE) -> "TrivariatePoly":
         c = coeff if isinstance(coeff, CycRat) else CycRat(coeff)
         return cls(i + j + k, {(i, j, k): c})
@@ -222,36 +217,6 @@ class TrivariatePoly:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def __add__(self, other: "TrivariatePoly") -> "TrivariatePoly":
-        if not isinstance(other, TrivariatePoly):
-            return NotImplemented
-        if self.degree != other.degree:
-            raise DegreeMismatchError(
-                f"cannot add degree {self.degree} and degree {other.degree}"
-            )
-        coeffs = dict(self.coeffs)
-        for key, val in other.coeffs.items():
-            acc = coeffs.get(key)
-            total = val if acc is None else acc + val
-            if total:
-                coeffs[key] = total
-            elif acc is not None:
-                del coeffs[key]
-        return TrivariatePoly(self.degree, coeffs)
-
-    def __sub__(self, other: "TrivariatePoly") -> "TrivariatePoly":
-        if not isinstance(other, TrivariatePoly):
-            return NotImplemented
-        return self + other.scale(CycRat(-1))
-
-    def scale(self, c: CycRat) -> "TrivariatePoly":
-        c = c if isinstance(c, CycRat) else CycRat(c)
-        if not c:
-            return TrivariatePoly.zero(self.degree)
-        return TrivariatePoly(
-            self.degree, {key: c * val for key, val in self.coeffs.items()}
-        )
 
     def evaluate(self, vx: CycRat, vy: CycRat, vz: CycRat) -> CycRat:
         total = ZERO

@@ -324,10 +324,16 @@ def make_dim6_detecting(params) -> QuiverRep:
 
 def sample_dim6_params(rng: random.Random, attempts: int = 64) -> tuple:
     """Integer parameter points giving an invertible B and a simple rep."""
+    return _sample_params(make_dim6_detecting, attempts,
+                          lambda: tuple(CycRat(rng.randint(-5, 5)) for _ in range(7)))
+
+
+def _sample_params(make, attempts: int, draw) -> tuple:
+    """The first drawn parameters for which ``make`` gives a simple rep."""
     for _ in range(attempts):
-        params = tuple(CycRat(rng.randint(-5, 5)) for _ in range(7))
+        params = draw()
         try:
-            V = make_dim6_detecting(params)
+            V = make(params)
         except SingularMatrixError:
             continue
         if is_simple(build_rep(V)):
@@ -393,15 +399,8 @@ def make_dim42_exceptional(params) -> QuiverRep:
 
 
 def sample_dim42_params(rng: random.Random, attempts: int = 64) -> tuple:
-    for _ in range(attempts):
-        params = tuple(random_cycrat(rng) for _ in range(5))
-        try:
-            V = make_dim42_exceptional(params)
-        except SingularMatrixError:
-            continue
-        if is_simple(build_rep(V)):
-            return params
-    raise SamplingError(f"no generic parameter point in {attempts} attempts")
+    return _sample_params(make_dim42_exceptional, attempts,
+                          lambda: tuple(random_cycrat(rng) for _ in range(5)))
 
 
 def verify_dim42_family(params, rng: random.Random | None = None) -> WitnessReport:

@@ -1,22 +1,33 @@
 """Dense exact linear algebra over Q(w).
 
+A matrix is held as integers: (re + rh*w) / den with integer matrices re
+and rh, packed into bytes, and one positive integer den, in the canonical
+form in which den and the entries of re and rh have no common factor.
+Equality and hashing compare those fields.  Products, sums and traces
+are Python integer arithmetic, with w**2 = -1 - w and one gcd pass per
+result; ``entries`` is a lazy view of the matrix as rows of ``CycRat``.
+
 Matrices carry optional row/column block annotations so that a single
 n x n matrix can be read as a grid of sub-blocks (the representation data
-of the 2x3 star quiver).  All algorithms are exact and share one
-elimination kernel, ``_eliminate``: it pivots on the first nonzero entry
-scanning down a column, which is legal over a field and keeps kernels and
-inverses deterministic.  Determinant, rank, inverse and nullspace are read
-off its result, and the determinant of a pencil is interpolated from
-determinants and solved for with it.
+of the 2x3 star quiver).  Determinant, rank, inverse and nullspace share
+one elimination kernel, ``_bareiss``: fraction-free Gauss-Jordan over the
+integers Z[w] (Bareiss 1968), which divides exactly by the previous pivot
+and pivots on the first nonzero entry scanning down a column.  Their
+results are unique, so they do not depend on how they were computed.  The
+determinant of a pencil is interpolated from determinants.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
+from fractions import Fraction
+from itertools import chain
+from operator import mul
 from typing import Iterable, Sequence
 
-from .cyclotomic import CycRat, ONE, ZERO, TrivariatePoly, parse_cycrat
+from .cyclotomic import CycRat, ZERO, TrivariatePoly, parse_cycrat
 
 __all__ = [
     "ShapeError",
@@ -58,15 +69,69 @@ def _check_blocks(blocks, total, what) -> tuple | None:
     return blocks
 
 
+def _cycrat(a: int, b: int, den: int) -> CycRat:
+    return CycRat(Fraction(a, den), Fraction(b, den))
+
+
+def _times(re, rh, c0: int, c1: int) -> tuple:
+    """(re + rh*w) * (c0 + c1*w), entrywise on integer matrices."""
+    out_re, out_rh = [], []
+    for ra, rb in zip(re, rh):
+        out_re.append([a * c0 - b * c1 for a, b in zip(ra, rb)])
+        out_rh.append([a * c1 + b * c0 - b * c1 for a, b in zip(ra, rb)])
+    return out_re, out_rh
+
+
+def _int_product(left, right_t) -> list:
+    """left @ right for integer matrices, with right given transposed."""
+    return [[sum(map(mul, row, col)) for col in right_t] for row in left]
+
+
+def _columns(mat: list, cols: int) -> list:
+    return [[row[j] for row in mat] for j in range(cols)]
+
+
+def _add(x: list, y: list) -> list:
+    return [[a + b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
+
+
+def _dot_trace(x: list, y_t: list) -> int:
+    """Tr(x @ y), with y given transposed."""
+    return sum(sum(map(mul, row, col)) for row, col in zip(x, y_t))
+
+
+def _three_products(left, right, product) -> tuple:
+    """product(A, C), product(B, D) and product(A + B, C + D) for left =
+    (A + Bw)/d and right = (C + Dw)/d', with the right operands transposed."""
+    a, b = left.re, left.rh
+    c_t, d_t = _columns(right.re, right.cols), _columns(right.rh, right.cols)
+    return product(a, c_t), product(b, d_t), product(_add(a, b), _add(c_t, d_t))
+
+
+def _pack(part: list, width: int) -> bytes:
+    return b"".join(x.to_bytes(width, "little", signed=True) for row in part for x in row)
+
+
+def _unpack(buf: bytes, width: int, rows: int, cols: int) -> list:
+    flat = [int.from_bytes(buf[k:k + width], "little", signed=True)
+            for k in range(0, len(buf), width)]
+    return [flat[i * cols:(i + 1) * cols] for i in range(rows)]
+
+
 class CycMatrix:
     """Dense matrix over Q(w) with optional block annotations.
 
-    Instances are treated as immutable: every operation returns a new
-    matrix, and ``entries`` must not be mutated after construction.
-    Equality compares shape and entries only, never annotations.
+    The value is (re + rh*w) / den in canonical form: den > 0 and
+    gcd(den, every entry of re and rh) = 1.  The integer matrices are kept
+    packed, every entry in the same number of bytes (a quarter or less of
+    the memory of lists of ints), and ``re`` and ``rh`` unpack fresh lists
+    on each read.  Instances are immutable: every
+    operation returns a new matrix, and ``entries`` must not be mutated.
+    Equality compares shape and value only, never annotations.
     """
 
-    __slots__ = ("rows", "cols", "entries", "row_blocks", "col_blocks")
+    __slots__ = ("rows", "cols", "den", "row_blocks", "col_blocks", "_width", "_re",
+                 "_rh", "_entries")
 
     def __init__(self, entries: Sequence[Sequence], row_blocks=None, col_blocks=None):
         rows = len(entries)
@@ -76,34 +141,48 @@ class CycMatrix:
             if len(row) != cols:
                 raise ShapeError("ragged rows in matrix literal")
             data.append([_as_cycrat(v) for v in row])
-        self.rows = rows
-        self.cols = cols
-        self.entries = data
+        den = math.lcm(*(q.denominator for row in data for v in row for q in (v.re, v.rh)))
+        # Each part is reduced, so a prime power dividing den exactly leaves
+        # some numerator coprime to it: the result is already canonical.
+        self._store(rows, cols, den,
+                    [[v.re.numerator * (den // v.re.denominator) for v in row] for row in data],
+                    [[v.rh.numerator * (den // v.rh.denominator) for v in row] for row in data],
+                    row_blocks, col_blocks)
+
+    def _store(self, rows, cols, den, re, rh, row_blocks, col_blocks) -> None:
+        self.rows, self.cols, self.den = rows, cols, den
+        self._width = max(map(int.bit_length, chain(*re, *rh)), default=0) // 8 + 1
+        self._re, self._rh = _pack(re, self._width), _pack(rh, self._width)
         self.row_blocks = _check_blocks(row_blocks, rows, "row_blocks")
         self.col_blocks = _check_blocks(col_blocks, cols, "col_blocks")
+        self._entries = None
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def _raw(cls, rows, cols, entries, row_blocks=None, col_blocks=None):
-        # Trusted internal path: keeps explicit shape for zero-sized matrices.
+    def _from_parts(cls, rows, cols, den, re, rh, row_blocks=None, col_blocks=None,
+                    canonical=False) -> "CycMatrix":
+        """The matrix (re + rh*w) / den, brought to canonical form unless the
+        caller knows it already is; the shape is explicit for empty matrices."""
+        if not canonical:
+            g = math.gcd(den, *chain(*re), *chain(*rh))
+            if g != 1:
+                den //= g
+                re = [[a // g for a in row] for row in re]
+                rh = [[b // g for b in row] for row in rh]
         mat = cls.__new__(cls)
-        mat.rows = rows
-        mat.cols = cols
-        mat.entries = entries
-        mat.row_blocks = _check_blocks(row_blocks, rows, "row_blocks")
-        mat.col_blocks = _check_blocks(col_blocks, cols, "col_blocks")
+        mat._store(rows, cols, den, re, rh, row_blocks, col_blocks)
         return mat
 
     @classmethod
     def identity(cls, n: int) -> "CycMatrix":
-        return cls._raw(
-            n, n, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        )
+        return cls._from_parts(n, n, 1, [[int(i == j) for j in range(n)] for i in range(n)],
+                               [[0] * n for _ in range(n)], canonical=True)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "CycMatrix":
-        return cls._raw(rows, cols, [[ZERO] * cols for _ in range(rows)])
+        return cls._from_parts(rows, cols, 1, [[0] * cols for _ in range(rows)],
+                               [[0] * cols for _ in range(rows)], canonical=True)
 
     @classmethod
     def diagonal(cls, values: Iterable) -> "CycMatrix":
@@ -117,7 +196,10 @@ class CycMatrix:
 
     def with_blocks(self, row_blocks=None, col_blocks=None) -> "CycMatrix":
         """Same entries, fresh block annotations."""
-        return CycMatrix._raw(self.rows, self.cols, self.entries, row_blocks, col_blocks)
+        mat = copy.copy(self)
+        mat.row_blocks = _check_blocks(row_blocks, self.rows, "row_blocks")
+        mat.col_blocks = _check_blocks(col_blocks, self.cols, "col_blocks")
+        return mat
 
     # -- basics ------------------------------------------------------------
 
@@ -125,23 +207,43 @@ class CycMatrix:
     def shape(self) -> tuple:
         return (self.rows, self.cols)
 
+    @property
+    def re(self) -> list:
+        """The rational parts times ``den``, as rows of ints."""
+        return _unpack(self._re, self._width, self.rows, self.cols)
+
+    @property
+    def rh(self) -> list:
+        """The w parts times ``den``, as rows of ints."""
+        return _unpack(self._rh, self._width, self.rows, self.cols)
+
+    @property
+    def entries(self) -> list:
+        """Rows of ``CycRat`` values, built on first use and kept."""
+        if self._entries is None:
+            self._entries = [[_cycrat(a, b, self.den) for a, b in zip(ra, rb)]
+                             for ra, rb in zip(self.re, self.rh)]
+        return self._entries
+
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def __getitem__(self, key) -> CycRat:
         i, j = key
-        return self.entries[i][j]
+        return _cycrat(self.re[i][j], self.rh[i][j], self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycMatrix):
             return NotImplemented
-        return self.shape == other.shape and self.entries == other.entries
+        # The packing width is a function of the value, so the bytes are too.
+        return (self.shape == other.shape and self.den == other.den
+                and self._re == other._re and self._rh == other._rh)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.entries)))
+        return hash((self.rows, self.cols, self.den, self._re, self._rh))
 
     def is_zero(self) -> bool:
-        return all(not v for row in self.entries for v in row)
+        return not any(self._re) and not any(self._rh)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(v) for v in row) for row in self.entries)
@@ -149,89 +251,73 @@ class CycMatrix:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other: "CycMatrix") -> "CycMatrix":
+    def _combine(self, other, sign: int, verb: str) -> "CycMatrix":
         if not isinstance(other, CycMatrix):
             return NotImplemented
         if self.shape != other.shape:
-            raise ShapeError(f"cannot add {self.shape} and {other.shape}")
-        return CycMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            self.row_blocks,
-            self.col_blocks,
-        )
+            raise ShapeError(f"cannot {verb} {self.shape} and {other.shape}")
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, sign * (den // other.den)
+        re, rh = ([[a * s + b * t for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
+                  for x, y in ((self.re, other.re), (self.rh, other.rh)))
+        return CycMatrix._from_parts(self.rows, self.cols, den, re, rh, self.row_blocks,
+                                     self.col_blocks)
+
+    def __add__(self, other: "CycMatrix") -> "CycMatrix":
+        return self._combine(other, 1, "add")
 
     def __sub__(self, other: "CycMatrix") -> "CycMatrix":
-        if not isinstance(other, CycMatrix):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ShapeError(f"cannot subtract {self.shape} and {other.shape}")
-        return CycMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            self.row_blocks,
-            self.col_blocks,
-        )
+        return self._combine(other, -1, "subtract")
 
     def __neg__(self) -> "CycMatrix":
-        return self.scale(CycRat(-1))
+        return self.scale(-1)
 
     def scale(self, c) -> "CycMatrix":
-        c = _as_cycrat(c)
-        return CycMatrix(
-            [[c * v for v in row] for row in self.entries],
-            self.row_blocks,
-            self.col_blocks,
-        )
+        c = CycMatrix([[c]])  # (c0 + c1 w) / d
+        re, rh = _times(self.re, self.rh, c.re[0][0], c.rh[0][0])
+        return CycMatrix._from_parts(self.rows, self.cols, self.den * c.den, re, rh,
+                                     self.row_blocks, self.col_blocks)
 
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
         if not isinstance(other, CycMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        ocols = other.cols
-        oentries = other.entries
-        out = []
-        for row in self.entries:
-            acc = [ZERO] * ocols
-            for k, v in enumerate(row):
-                if not v:
-                    continue
-                orow = oentries[k]
-                for j in range(ocols):
-                    w = orow[j]
-                    if w:
-                        acc[j] = acc[j] + v * w
-            out.append(acc)
-        return CycMatrix._raw(
-            self.rows, ocols, out, self.row_blocks, other.col_blocks
-        )
+        # Three integer products: with P = A.C, Q = B.D, S = (A+B)(C+D),
+        # (A + Bw)(C + Dw) = (P - Q) + (S - P - 2Q) w since w^2 = -1 - w.
+        p, q, s = _three_products(self, other, _int_product)
+        re = [[x - y for x, y in zip(rp, rq)] for rp, rq in zip(p, q)]
+        rh = [[z - x - 2 * y for x, y, z in zip(rp, rq, rs)]
+              for rp, rq, rs in zip(p, q, s)]
+        return CycMatrix._from_parts(self.rows, other.cols, self.den * other.den, re, rh,
+                                     self.row_blocks, other.col_blocks)
+
+    def trace_of_product(self, other: "CycMatrix") -> CycRat:
+        """Tr(self @ other), from the diagonal of the product alone."""
+        if self.cols != other.rows or self.rows != other.cols:
+            raise ShapeError(f"trace of a non-square product {self.shape} by {other.shape}")
+        p, q, s = _three_products(self, other, _dot_trace)
+        return _cycrat(p - q, s - p - 2 * q, self.den * other.den)
 
     def transpose(self) -> "CycMatrix":
         """Entry (i, j) -> (j, i); block annotations swap roles."""
-        flipped = [
-            [self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)
-        ]
-        return CycMatrix._raw(
-            self.cols, self.rows, flipped, self.col_blocks, self.row_blocks
-        )
+        return CycMatrix._from_parts(
+            self.cols, self.rows, self.den, _columns(self.re, self.cols),
+            _columns(self.rh, self.cols), self.col_blocks, self.row_blocks,
+            canonical=True)
 
     def trace(self) -> CycRat:
         if not self.is_square():
             raise ShapeError("trace of a non-square matrix")
-        total = ZERO
-        for i in range(self.rows):
-            total = total + self.entries[i][i]
-        return total
+        re, rh = self.re, self.rh
+        return _cycrat(sum(re[i][i] for i in range(self.rows)),
+                       sum(rh[i][i] for i in range(self.rows)), self.den)
 
     # -- elimination-based operations ----------------------------------------
 
     def inverse(self) -> "CycMatrix":
-        """Exact inverse via Gauss-Jordan elimination.
+        """Exact inverse: the adjugate over the determinant, from Gauss-Jordan
+        elimination of [self | I] with ``_bareiss``.
 
         The inverse of a base-change matrix maps the opposite way, so block
         annotations swap roles, as for ``transpose``.
@@ -239,34 +325,34 @@ class CycMatrix:
         if not self.is_square():
             raise ShapeError("inverse of a non-square matrix")
         n = self.rows
-        work = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-                for i, row in enumerate(self.entries)]
-        rank = len(_eliminate(work, n))
-        if rank < n:
-            raise SingularMatrixError("matrix is singular", rank)
-        inv = [row[n:] for row in work]
-        return CycMatrix(inv, row_blocks=self.col_blocks, col_blocks=self.row_blocks)
+        work_re = [row + [int(i == j) for j in range(n)] for i, row in enumerate(self.re)]
+        work_rh = [row + [0] * n for row in self.rh]
+        pivots, (d0, d1), _ = _bareiss(work_re, work_rh, n)
+        if len(pivots) < n:
+            raise SingularMatrixError("matrix is singular", len(pivots))
+        # For Z = den * self, [Z | I] is now [d I | d Z^{-1}], d the last pivot,
+        # and self^{-1} = den Z^{-1}; dividing by d is multiplying by its
+        # conjugate (d0 - d1) - d1 w over its norm.
+        re, rh = _times([row[n:] for row in work_re], [row[n:] for row in work_rh],
+                        self.den * (d0 - d1), -self.den * d1)
+        return CycMatrix._from_parts(n, n, d0 * d0 - d0 * d1 + d1 * d1, re, rh,
+                                     self.col_blocks, self.row_blocks)
 
     def det(self) -> CycRat:
-        """Exact determinant: the signed product of the forward-elimination pivots."""
+        """Exact determinant: the last pivot of fraction-free forward
+        elimination, signed by the parity of the row swaps."""
         if not self.is_square():
             raise ShapeError("determinant of a non-square matrix")
         n = self.rows
-        rows = [list(row) for row in self.entries]
-        work = list(rows)
-        if len(_eliminate(work, n, reduce_up=False)) < n:
+        pivots, (d0, d1), swaps = _bareiss(self.re, self.rh, n, reduce_up=False)
+        if len(pivots) < n:
             return ZERO
-        # _eliminate swaps the row lists of ``work``; the sign is the parity
-        # of the permutation that takes ``rows`` to ``work``.
-        origin = {id(row): i for i, row in enumerate(rows)}
-        order = [origin[id(row)] for row in work]
-        swaps = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
-        det = math.prod((row[i] for i, row in enumerate(work)), start=ONE)
-        return -det if swaps % 2 else det
+        sign = -1 if swaps % 2 else 1
+        return _cycrat(sign * d0, sign * d1, self.den ** n)
 
     def rank(self) -> int:
-        work = [list(row) for row in self.entries]
-        return len(_eliminate(work, self.cols, reduce_up=False))
+        pivots, _, _ = _bareiss(self.re, self.rh, self.cols, reduce_up=False)
+        return len(pivots)
 
     def nullspace(self) -> list:
         """Basis of the right kernel as column vectors (n x 1 matrices).
@@ -275,17 +361,22 @@ class CycMatrix:
         each free column yields a vector with leading coefficient 1 there,
         which keeps the output deterministic.
         """
-        work = [list(row) for row in self.entries]
-        pivots = _eliminate(work, self.cols)
+        work_re, work_rh = self.re, self.rh
+        pivots, (d0, d1), _ = _bareiss(work_re, work_rh, self.cols)
+        # Pivot rows hold d times the reduced echelon form, d the last pivot.
         pivot_set = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
+        norm = d0 * d0 - d0 * d1 + d1 * d1
         basis = []
-        for f in free:
-            vec = [ZERO] * self.cols
-            vec[f] = ONE
+        for f in range(self.cols):
+            if f in pivot_set:
+                continue
+            vec_re = [0] * self.cols
+            vec_rh = [0] * self.cols
+            vec_re[f], vec_rh[f] = d0, d1
             for r, pc in enumerate(pivots):
-                vec[pc] = -work[r][f]
-            basis.append(CycMatrix([[v] for v in vec]))
+                vec_re[pc], vec_rh[pc] = -work_re[r][f], -work_rh[r][f]
+            re, rh = _times([[v] for v in vec_re], [[v] for v in vec_rh], d0 - d1, -d1)
+            basis.append(CycMatrix._from_parts(self.cols, 1, norm, re, rh))
         return basis
 
     # -- serialization ---------------------------------------------------------
@@ -322,53 +413,78 @@ class CycMatrix:
         return mat.with_blocks(obj.get("row_blocks"), obj.get("col_blocks"))
 
 
-def _eliminate(work, ncols, reduce_up=True):
-    """In-place row reduction of ``work`` over its first ``ncols`` columns.
+def _bareiss(work_re, work_rh, ncols, reduce_up=True):
+    """Fraction-free row reduction over Z[w], in place, of the matrix with
+    rows work_re[i] + work_rh[i]*w over its first ``ncols`` columns.
 
     Rows may be wider than ``ncols`` (augmented systems); trailing columns
-    ride along.  With ``reduce_up`` the result is the reduced row echelon
-    form; without it, an echelon form whose pivots keep their values.
-    Returns the list of pivot columns.
+    ride along.  A step with pivot p in column c turns every other row R
+    into (p*R - R[c]*P) / q (``_bareiss_row``), P the pivot row and q the
+    previous pivot (1 at first).  With ``reduce_up`` this is Gauss-Jordan:
+    the pivot rows end as d times the reduced row echelon form, d the last
+    pivot.  Without it only the rows below a pivot change, and the last
+    pivot is the determinant of the row-permuted leading minor.  Returns
+    the pivot columns, the last pivot (d0, d1) and the number of row swaps.
     """
-    nrows = len(work)
-    width = len(work[0]) if nrows else ncols
+    nrows = len(work_re)
+    width = len(work_re[0]) if nrows else ncols
     pivots = []
+    q = (1, 0)
+    swaps = 0
     r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if work[i][c]:
-                piv = i
-                break
+        piv = next((i for i in range(r, nrows) if work_re[i][c] or work_rh[i][c]), None)
         if piv is None:
             continue
         if piv != r:
-            work[r], work[piv] = work[piv], work[r]
-        prow = work[r]
-        pinv = prow[c].inverse()
-        if reduce_up:
-            for j in range(c, width):
-                if prow[j]:
-                    prow[j] = pinv * prow[j]
-        span = range(nrows) if reduce_up else range(r + 1, nrows)
-        for i in span:
-            if i == r:
-                continue
-            f = work[i][c]
-            if not f:
-                continue
-            if not reduce_up:
-                f = f * pinv
-            row = work[i]
-            row[c] = ZERO
-            for j in range(c + 1, width):
-                if prow[j]:
-                    row[j] = row[j] - f * prow[j]
+            work_re[r], work_re[piv] = work_re[piv], work_re[r]
+            work_rh[r], work_rh[piv] = work_rh[piv], work_rh[r]
+            swaps += 1
+        p = (work_re[r][c], work_rh[r][c])
+        # Gauss-Jordan touches every column: an earlier pivot column then
+        # comes out as p in its own row and 0 elsewhere, as it should.
+        cols = range(width) if reduce_up else range(c, width)
+        for i in range(nrows) if reduce_up else range(r + 1, nrows):
+            if i != r:
+                _bareiss_row(work_re[i], work_rh[i], work_re[r], work_rh[r], p,
+                             (work_re[i][c], work_rh[i][c]), q, cols)
         pivots.append(c)
+        q = p
         r += 1
         if r == nrows:
             break
-    return pivots
+    return pivots, q, swaps
+
+
+def _bareiss_row(R0, R1, P0, P1, p, f, q, cols) -> None:
+    """R <- (p*R - f*P) / q over ``cols``, in place, for rows of Z[w] held as
+    lists of rational and w parts; p, f and q are (a, b) pairs for a + b*w.
+
+    The division is exact when every entry is a minor of one matrix
+    (Bareiss 1968).  It is a product with the conjugate of q,
+    (q0 - q1) - q1*w, and an integer division by its norm q0^2 - q0*q1 + q1^2.
+    """
+    p0, p1 = p
+    f0, f1 = f
+    q0, q1 = q
+    c0, c1, norm = q0 - q1, -q1, q0 * q0 - q0 * q1 + q1 * q1
+    f_zero = not (f0 or f1)
+    for j in cols:
+        x0, x1, y0, y1 = R0[j], R1[j], P0[j], P1[j]
+        if not (x0 or x1) and (f_zero or not (y0 or y1)):
+            continue
+        t = p1 * x1
+        s = f1 * y1
+        u0 = p0 * x0 - t - f0 * y0 + s
+        u1 = p0 * x1 + p1 * x0 - t - f0 * y1 - f1 * y0 + s
+        if q1:
+            t = u1 * c1
+            u0, u1 = (u0 * c0 - t) // norm, (u0 * c1 + u1 * c0 - t) // norm
+        elif q0 != 1:
+            u0 //= q0
+            u1 //= q0
+        R0[j] = u0
+        R1[j] = u1
 
 
 def span_closure_dim(one, gens, mul, insert, full: int) -> int:
@@ -416,16 +532,15 @@ def block_compose(grid: Sequence[Sequence[CycMatrix]]) -> CycMatrix:
                     f"block ({i},{j}) is {blk.shape}, expected "
                     f"({row_blocks[i]},{col_blocks[j]})"
                 )
-    entries = []
-    for i, row in enumerate(grid):
-        for r in range(row_blocks[i]):
-            out = []
-            for blk in row:
-                out.extend(blk.entries[r])
-            entries.append(out)
-    if not entries:
-        return CycMatrix.zeros(0, sum(col_blocks)).with_blocks(row_blocks, col_blocks)
-    return CycMatrix(entries, row_blocks=row_blocks, col_blocks=col_blocks)
+    den = math.lcm(*(blk.den for row in grid for blk in row))
+    re, rh = [], []
+    for row in grid:
+        parts = [(blk.re, blk.rh, den // blk.den) for blk in row]
+        for r in range(row[0].rows):
+            re.append([a * s for blk_re, _, s in parts for a in blk_re[r]])
+            rh.append([b * s for _, blk_rh, s in parts for b in blk_rh[r]])
+    return CycMatrix._from_parts(sum(row_blocks), sum(col_blocks), den, re, rh,
+                                 row_blocks, col_blocks)
 
 
 def block_extract(mat: CycMatrix, row_block: int, col_block: int) -> CycMatrix:
@@ -436,11 +551,8 @@ def block_extract(mat: CycMatrix, row_block: int, col_block: int) -> CycMatrix:
     c0 = sum(mat.col_blocks[:col_block])
     nr = mat.row_blocks[row_block]
     nc = mat.col_blocks[col_block]
-    if nr == 0 or nc == 0:
-        return CycMatrix.zeros(nr, nc)
-    return CycMatrix(
-        [[mat.entries[r0 + i][c0 + j] for j in range(nc)] for i in range(nr)]
-    )
+    return CycMatrix._from_parts(nr, nc, mat.den, *([row[c0:c0 + nc] for row in part[r0:r0 + nr]]
+                                                    for part in (mat.re, mat.rh)))
 
 
 def block_diag(blocks: Sequence[CycMatrix]) -> CycMatrix:
@@ -451,13 +563,17 @@ def block_diag(blocks: Sequence[CycMatrix]) -> CycMatrix:
             raise ShapeError("block_diag needs square blocks")
         sizes.append(blk.rows)
     n = sum(sizes)
-    entries = [[ZERO] * n for _ in range(n)]
+    den = math.lcm(*(blk.den for blk in blocks))
+    re = [[0] * n for _ in range(n)]
+    rh = [[0] * n for _ in range(n)]
     off = 0
     for blk in blocks:
-        for i in range(blk.rows):
-            entries[off + i][off : off + blk.rows] = blk.entries[i]
+        s = den // blk.den
+        for out, part in ((re, blk.re), (rh, blk.rh)):
+            for i, row in enumerate(part):
+                out[off + i][off:off + blk.rows] = [a * s for a in row]
         off += blk.rows
-    return CycMatrix(entries, row_blocks=tuple(sizes), col_blocks=tuple(sizes))
+    return CycMatrix._from_parts(n, n, den, re, rh, tuple(sizes), tuple(sizes))
 
 
 def pencil_det(P: CycMatrix, Q: CycMatrix, R: CycMatrix) -> TrivariatePoly:
@@ -477,15 +593,9 @@ def pencil_det(P: CycMatrix, Q: CycMatrix, R: CycMatrix) -> TrivariatePoly:
         raise ShapeError("pencil matrices must be square")
     m = P.rows
     lattice = _principal_lattice(m)
-    values = []
-    for i, j, k in lattice:
-        pencil = [
-            [i * p + j * q + k * r for p, q, r in zip(prow, qrow, rrow)]
-            for prow, qrow, rrow in zip(P.entries, Q.entries, R.entries)
-        ]
-        values.append([CycMatrix._raw(m, m, pencil).det()])
-    coeffs = _monomial_inverse(m) @ CycMatrix._raw(len(lattice), 1, values)
-    return TrivariatePoly(m, {mono: row[0] for mono, row in zip(lattice, coeffs.entries)})
+    values = [[(P.scale(i) + Q.scale(j) + R.scale(k)).det()] for i, j, k in lattice]
+    coeffs = _monomial_inverse(m) @ CycMatrix(values)
+    return TrivariatePoly(m, {mono: coeffs[row, 0] for row, mono in enumerate(lattice)})
 
 
 def _principal_lattice(m: int) -> list:

@@ -23,6 +23,7 @@ from .linalg import (
     CycMatrix,
     ShapeError,
     block_diag,
+    block_extract,
 )
 
 __all__ = [
@@ -258,18 +259,20 @@ def _hom_space_exact(V: QuiverRep, W: QuiverRep, v_inv: CycMatrix | None = None)
                for k in range(size) for l in range(size)]
     sink = _sink_block_of(d)
 
-    # One constraint per entry of N sitting off the sink block diagonal.
-    v_cols = [[v_inv.entries[l][c] for l in range(n)] for c in range(n)]
-    rows = []
+    # One constraint per entry of N sitting off the sink block diagonal, in
+    # Z[w]: the common denominator of W.B and V.B^{-1} does not change the
+    # kernel.  Entry (r, c) of W.B . E_kl . V.B^{-1} is W.B[r, k] V.B^{-1}[l, c].
+    w_re, w_rh, v_re, v_rh = wb.re, wb.rh, v_inv.re, v_inv.rh
+    sys_re, sys_rh = [], []
     for r in range(n):
-        wrow = wb.entries[r]
         for c in range(n):
             if sink[r] == sink[c]:
                 continue
-            vcol = v_cols[c]
-            rows.append([wrow[k] * vcol[l] for (k, l) in columns])
-    system = CycMatrix._raw(len(rows), len(columns), rows)
-    return [_hom_element(d, wb, v_inv, [vec.entries[i][0] for i in range(len(columns))])
+            pairs = [(w_re[r][k], w_rh[r][k], v_re[l][c], v_rh[l][c]) for k, l in columns]
+            sys_re.append([a * x - b * y for a, b, x, y in pairs])
+            sys_rh.append([a * y + b * x - b * y for a, b, x, y in pairs])
+    system = CycMatrix._from_parts(len(sys_re), len(columns), 1, sys_re, sys_rh)
+    return [_hom_element(d, wb, v_inv, [vec[i, 0] for i in range(len(columns))])
             for vec in system.nullspace()]
 
 
@@ -289,21 +292,23 @@ def _hom_element(d: DimVector, wb: CycMatrix, v_inv: CycMatrix, flat: list,
     m_blocks = []
     pos = 0
     for size in d.source_blocks:
-        blk = [flat[pos + i * size : pos + (i + 1) * size] for i in range(size)]
-        m_blocks.append(CycMatrix._raw(size, size, blk))
+        m_blocks.append(CycMatrix([flat[pos + i * size : pos + (i + 1) * size]
+                                   for i in range(size)]))
         pos += size * size
     prod = wb @ block_diag(m_blocks) @ v_inv
     if check:
         sink = _sink_block_of(d)
-        if any(v for r, row in enumerate(prod.entries)
-               for c, v in enumerate(row) if sink[r] != sink[c]):
+        if any(a or b for r, (row_re, row_rh) in enumerate(zip(prod.re, prod.rh))
+               for c, (a, b) in enumerate(zip(row_re, row_rh)) if sink[r] != sink[c]):
             return None
-    n_blocks = []
-    for size, off in zip(d.sink_blocks, (0, d.x, d.x + d.y)):
-        blk = [[prod.entries[off + i][off + j] for j in range(size)]
-               for i in range(size)]
-        n_blocks.append(CycMatrix._raw(size, size, blk))
-    return GLAlphaElement(m_blocks[0], m_blocks[1], *n_blocks)
+    return GLAlphaElement(m_blocks[0], m_blocks[1],
+                          *(block_extract(prod, i, i) for i in range(3)))
+
+
+def _is_witness(g: GLAlphaElement, V: QuiverRep, W: QuiverRep) -> bool:
+    """Whether act(g, V) == W for an invertible g, checked without inverses
+    as the multiplied-out identity diag(N) . V.B == W.B . diag(M)."""
+    return g.sink_matrix() @ V.B == W.B @ g.source_matrix()
 
 
 @dataclass(frozen=True)
@@ -322,7 +327,8 @@ def find_isomorphism(V: QuiverRep, W: QuiverRep,
     """Search the hom space for an invertible element.
 
     An invertible morphism g satisfies act(g, V) == W exactly, so any hit
-    is a certified isomorphism witness.  For stable representations the
+    is a certified isomorphism witness; the identity is checked multiplied
+    out, as diag(N) . V.B == W.B . diag(M).  For stable representations the
     hom space has dimension 0 or 1 and the first basis vector decides; for
     others up to 8 seeded random combinations of the basis are tried, and
     failure is flagged inconclusive rather than reported as a definitive
@@ -332,7 +338,7 @@ def find_isomorphism(V: QuiverRep, W: QuiverRep,
     hom_dim = len(basis)
     for g in basis:
         if g.is_invertible():
-            if act(g, V) != W:  # pragma: no cover - guaranteed by linear algebra
+            if not _is_witness(g, V, W):  # pragma: no cover - guaranteed by linear algebra
                 raise AssertionError("invertible hom element is not a witness")
             return IsomorphismSearch(g, hom_dim, False)
     if hom_dim <= 1:
@@ -346,7 +352,7 @@ def find_isomorphism(V: QuiverRep, W: QuiverRep,
             c = CycRat(rng.randint(-4, 4), rng.randint(-4, 4))
             combo = combo.add(elt.scale(c))
         if combo.is_invertible():
-            if act(combo, V) != W:  # pragma: no cover
+            if not _is_witness(combo, V, W):  # pragma: no cover
                 raise AssertionError("invertible hom element is not a witness")
             return IsomorphismSearch(combo, hom_dim, False)
     return IsomorphismSearch(None, hom_dim, True)

@@ -376,6 +376,19 @@ class TestAreIsomorphic:
         assert search.witness is None
         assert not search.inconclusive
 
+    def test_witness_check_without_inverses(self):
+        V = make_odd_family(2, 7)
+        W = tau_quiver(V)
+        g = find_isomorphism(W, V).witness
+        assert quiver._is_witness(g, W, V) and act(g, W) == V
+        for name in ("M1", "N2"):
+            blk = getattr(g, name)
+            bump = CycMatrix([[int(i == j == 0) for j in range(blk.cols)]
+                              for i in range(blk.rows)])
+            bad = GLAlphaElement(**{**vars(g), name: blk + bump})
+            assert bad.is_invertible()
+            assert not quiver._is_witness(bad, W, V)
+
     def test_non_stable_isomorphic_found_by_search(self, rng):
         # the square of a one-dimensional representation: hom space is the
         # full 2x2 algebra whose basis consists of singular tuples, so the
