@@ -3,18 +3,16 @@
 Reducing an exact matrix modulo a prime p = 1 (mod 3) sends w to a cube
 root of unity in F_p.  Ranks can only drop under such a reduction, so a
 full-rank result mod p is an exact certificate; a deficient result is
-not, and callers must fall back to exact arithmetic.  A vector rebuilt
-from its images mod many primes counts only once it has been checked
-exactly.  Nothing in here ever replaces an exact negative answer: every
-routine either certifies its answer or reports "not certified" (None),
-and the caller then takes the exact path.
+not, and callers must fall back to exact arithmetic.  A vector lifted
+p-adically from one factorisation mod p and rebuilt as rationals counts
+only once it has been checked exactly.  Nothing in here ever replaces an
+exact negative answer: every routine either certifies its answer or
+reports "not certified" (None), and the caller then takes the exact path.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from itertools import islice
 
 import numpy as np
 
@@ -27,8 +25,7 @@ PRIME_BITS = 26
 MAX_DIM = 2 ** (63 - 2 * PRIME_BITS)
 
 # The six largest primes below 2**26 that are congruent to 1 mod 3, paired
-# with a primitive cube root of unity mod p.  ``primes()`` continues the
-# same sequence for the routines that need many primes.
+# with a primitive cube root of unity mod p.
 PRIMES = (
     (67108837, 57280852),
     (67108819, 19491216),
@@ -38,110 +35,35 @@ PRIMES = (
     (67108729, 56779387),
 )
 
-# A one-dimensional kernel is rebuilt from at most this many primes before
-# the exact path takes over (the odd family needs about 35 at k = 5).
-MAX_PRIMES = 128
-
 
 def within_headroom(n: int) -> bool:
     """Whether n x n products mod any prime here are exact in int64."""
     return n < MAX_DIM
 
 
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin: bases 2, 3, 5, 7 decide n < 3215031751."""
-    if n < 2:
-        return False
-    for b in (2, 3, 5, 7):
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in (2, 3, 5, 7):
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _prime_below(q: int) -> tuple:
-    """The largest prime p < q with p = 1 (mod 6), and a primitive cube root
-    of unity mod p."""
-    q -= 1
-    q -= (q - 1) % 6
-    while not _is_prime(q):
-        q -= 6
-    g = 2
-    while pow(g, (q - 1) // 3, q) == 1:
-        g += 1
-    return q, pow(g, (q - 1) // 3, q)
-
-
-_STREAM: list = []
-_STREAM_LOCK = threading.Lock()
-
-
-def primes():
-    """Primes p = 1 (mod 3) below 2**26, largest first, each paired with a
-    primitive cube root of unity mod p.
-
-    The sequence starts with the primes of ``PRIMES``; it is generated on
-    first use and cached, so importing this module costs nothing.
-    """
-    i = 0
-    while True:
-        if i == len(_STREAM):
-            with _STREAM_LOCK:
-                if i == len(_STREAM):
-                    last = _STREAM[-1][0] if _STREAM else 2 ** PRIME_BITS
-                    _STREAM.append(_prime_below(last))
-        yield _STREAM[i]
-        i += 1
-
-
-def _scaled_parts(mat) -> tuple:
-    """(D, re, rh) with D * mat = re + rh*w: the matrix's own denominator
-    and integer parts as object arrays, so that reducing mod a prime needs
-    one inverse."""
-    def part(ints):
-        return np.array(ints, dtype=object).reshape(mat.rows, mat.cols)
-
-    return mat.den, part(mat.re), part(mat.rh)
-
-
-def _parts_mod(parts, p: int):
-    """(re mod p, rh mod p) as int64 arrays, or None if p divides D."""
-    den, re, rh = parts
-    if den % p == 0:
-        return None
-    return (re % p).astype(np.int64), (rh % p).astype(np.int64)
-
-
-def _image(parts_mod, p: int, rho_img: int):
-    re, rh = parts_mod
-    return (re + rh * rho_img) % p
+def _embed(re, rh, p: int, rho_img: int):
+    """Image in F_p of the integer array re + rh*w under w -> rho_img, as
+    int64; ``re`` and ``rh`` may hold int64 or Python ints."""
+    return ((re % p).astype(np.int64) + (rh % p).astype(np.int64) * rho_img) % p
 
 
 def matrix_mod(mat, p: int, rho_img: int):
     """Image of a CycMatrix in F_p, or None if a denominator vanishes mod p."""
-    parts = _scaled_parts(mat)
-    reduced = _parts_mod(parts, p)
-    if reduced is None:
+    if mat.den % p == 0:
         return None
-    return _image(reduced, p, rho_img) * pow(parts[0], -1, p) % p
+    re, rh = (np.array(part, dtype=object).reshape(mat.rows, mat.cols)
+              for part in (mat.re, mat.rh))
+    return _embed(re, rh, p, rho_img) * pow(mat.den, -1, p) % p
 
 
-def _rref_mod(a, p: int) -> list:
+def _rref_mod(a, p: int, order: list | None = None) -> list:
     """Reduce the int64 matrix ``a`` (entries in [0, p)) in place to its
-    reduced row echelon form over F_p; returns the pivot columns."""
+    reduced row echelon form over F_p; returns the pivot columns.
+
+    Row swaps are applied to ``order`` too, so that afterwards its first
+    rank entries are the original rows the pivots came from: each pivot row
+    is its original row plus earlier pivot rows, so those rows are
+    independent mod p."""
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
@@ -154,12 +76,17 @@ def _rref_mod(a, p: int) -> list:
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
+            if order is not None:
+                order[r], order[piv] = order[piv], order[r]
         a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
         f = a[:, c].copy()
         f[r] = 0
         hit = np.flatnonzero(f)
         if hit.size:
-            a[hit, c:] = (a[hit, c:] - np.outer(f[hit], a[r, c:])) % p
+            rest = a[hit, c:]
+            rest -= np.einsum("i,j->ij", f[hit], a[r, c:])
+            rest %= p
+            a[hit, c:] = rest
         pivots.append(c)
         r += 1
     return pivots
@@ -171,7 +98,7 @@ def _inverse_mod(a, p: int):
     work = np.hstack([a, np.eye(n, dtype=np.int64)])
     if _rref_mod(work, p) != list(range(n)):
         return None
-    return work[:, n:]
+    return work[:, n:].copy()
 
 
 def det_nonzero(mat) -> bool:
@@ -226,37 +153,40 @@ def burnside_rank_mod(a1, a2, p: int) -> int | None:
 
 # -- certified hom spaces ---------------------------------------------------
 
-def _hom_system_mod(dims, wb, v_inv, p: int):
-    """The intertwiner system of ``quiver.hom_space`` mod p, built directly.
+def _hom_system(dims, wb, v_inv) -> tuple:
+    """The intertwiner system of ``quiver.hom_space`` over Z[w], as integer
+    arrays (re, rh): int64 when every entry provably fits, Python ints
+    otherwise.
 
     One row per sink entry (r, c) off the block diagonal, in row-major
     order; one column per entry (k, l) of M1 then of M2.  The coefficient
-    is W.B[r, k] * V.B^{-1}[l, c], entry (r, c) of W.B . E_kl . V.B^{-1}.
+    is W.B[r, k] * V.B^{-1}[l, c], entry (r, c) of W.B . E_kl . V.B^{-1},
+    times both denominators, which does not change the kernel.
     """
     sink = np.repeat(np.arange(3), dims.sink_blocks)
-    off = sink[:, None] != sink[None, :]
-    count = int(off.sum())
-    parts = []
+    rows, cols = np.nonzero(sink[:, None] != sink[None, :])
+    parts = (wb.re, wb.rh, v_inv.re, v_inv.rh)
+    w_height, v_height = (max(abs(x) for part in pair for row in part for x in row)
+                          for pair in (parts[:2], parts[2:]))
+    dtype = np.int64 if 3 * w_height * v_height < 2 ** 62 else object
+    w_re, w_rh, v_re, v_rh = (np.array(part, dtype=dtype).reshape(dims.n, dims.n)
+                              for part in parts)
+    re = np.empty((len(rows), dims.a ** 2 + dims.b ** 2), dtype=dtype)
+    rh = np.empty_like(re)
+    at = 0
     for start, size in zip((0, dims.a), dims.source_blocks):
-        w = wb[:, start:start + size]
-        v = v_inv[start:start + size, :]
-        coef = w[:, None, :, None] * v.T[None, :, None, :] % p
-        parts.append(coef[off].reshape(count, size * size))
-    return np.hstack(parts)
+        block, span = slice(start, start + size), slice(at, at + size * size)
+        at += size * size
 
+        def outer(w, v):
+            return (w[rows, block][:, :, None] * v[block, cols].T[:, None, :]
+                    ).reshape(len(rows), size * size)
 
-def _kernel_mod(system, p: int) -> tuple:
-    """(nullity, vector): the vector spans the kernel when the nullity is 1,
-    with a 1 at its free column, which is its last nonzero coordinate."""
-    cols = system.shape[1]
-    pivots = _rref_mod(system, p)
-    if cols - len(pivots) != 1:
-        return cols - len(pivots), None
-    (free,) = set(range(cols)).difference(pivots)
-    vec = np.zeros(cols, dtype=np.int64)
-    vec[free] = 1
-    vec[pivots] = -system[:len(pivots), free] % p
-    return 1, vec
+        # (a + b*w)(x + y*w) = (ax - by) + (ay + bx - by)*w, as w^2 = -1 - w
+        by = outer(w_rh, v_rh)
+        re[:, span] = outer(w_re, v_re) - by
+        rh[:, span] = outer(w_re, v_rh) + outer(w_rh, v_re) - by
+    return re, rh
 
 
 def _wang(u: int, m: int, bound: int):
@@ -293,78 +223,113 @@ def _reconstruct(residues, m: int):
     return out
 
 
-def hom_kernel(V, W, certify):
-    """Certified basis of the hom space V -> W of nullity at most one.
+def _hadamard(re, rh) -> int:
+    """Product over the columns of the Z[w] matrix re + rh*w of
+    max(1, |column|^2), with |a + b*w|^2 = a^2 - ab + b^2: a bound on
+    |det|^2 of every square matrix made of some of its columns."""
+    bound = 1
+    for j in range(re.shape[1]):
+        pairs = zip(re[:, j].tolist(), rh[:, j].tolist())
+        bound *= max(1, sum(a * a - a * b + b * b for a, b in pairs))
+    return bound
 
-    For each prime p = 1 (mod 3) from ``primes()``, the intertwiner system
-    is built mod p under both cube roots rho and rho**2 of unity.  A
-    nullity of 0 mod p certifies an empty hom space.  A nullity of 1 gives
-    the kernel vector a + b*w under both embeddings, normalised at its
-    free column, from which a and b are solved mod p; the primes are
-    combined by CRT, and after every second prime the rational values are
-    reconstructed.  ``certify(entries)`` checks a candidate exactly and
-    returns its hom element or None.  A passing candidate certifies the
-    hom space: 1 <= exact nullity <= nullity mod p = 1.  Normalised at its
-    last nonzero coordinate, the kernel vector is the one the exact reduced
-    echelon form yields.
+
+def _lift(block, rhs, p: int, rho: int, accept):
+    """Dixon lifting (Dixon 1982) of the square Z[w] system block . x = rhs,
+    both given as integer arrays (re, rh), at one prime p = 1 (mod 3).
+
+    Z[w]/p is F_p x F_p under w -> rho and w -> rho^2, so the block is
+    inverted mod p under each root once.  Each step solves for the next
+    p-adic digit a + b*w of x from the two images of the residual r, then
+    updates r <- (r - block . digit) / p exactly; r stays int64 while
+    2 * n * height * (p + 1) + |rhs| < 2^62 proves that safe, and is held
+    in Python ints otherwise.  After each step the rational parts of x are
+    rebuilt from x mod p^k and passed to ``accept``, whose first non-None
+    result is returned.  By Cramer's rule and the Hadamard bound h on the
+    block and rhs, every numerator is at most (2/sqrt(3)) * h and every
+    denominator divides N(det) <= h, so once p^k exceeds 8/3 * h^2 the
+    reconstruction is the exact solution; None if ``accept`` has refused
+    it by then, or if the block is singular mod p.
+    """
+    rho2 = rho * rho % p
+    invs = [_inverse_mod(_embed(*block, p, r), p) for r in (rho, rho2)]
+    if invs[0] is None or invs[1] is None:
+        return None
+    h = _hadamard(*block) * _hadamard(rhs[0][:, None], rhs[1][:, None])
+    need = (4 * h * h + 2) // 3
+    n = len(rhs[0])
+    height, rhs_height = (max(int(np.abs(part).max(initial=0)) for part in pair)
+                          for pair in (block, rhs))
+    dtype = np.int64 if 2 * n * height * (p + 1) + rhs_height < 2 ** 62 else object
+    a_re, a_rh = (part.astype(dtype, copy=False) for part in block)
+    r_re, r_rh = (part.astype(dtype, copy=False) for part in rhs)
+    acc = np.zeros(2 * n, dtype=object)
+    modulus = 1
+    w_inv = pow(rho - rho2, -1, p)
+    while True:
+        d1 = invs[0] @ _embed(r_re, r_rh, p, rho) % p
+        d2 = invs[1] @ _embed(r_re, r_rh, p, rho2) % p
+        # d1 = a + b*rho and d2 = a + b*rho^2
+        b = (d1 - d2) * w_inv % p
+        a = (d1 - b * rho) % p
+        acc += np.concatenate([a, b]).astype(object) * modulus
+        modulus *= p
+        a, b = a.astype(dtype), b.astype(dtype)
+        # block . (a + b*w) = (A a - B b) + (A b + B (a - b))*w
+        r_re = (r_re - a_re @ a + a_rh @ b) // p
+        r_rh = (r_rh - a_re @ b - a_rh @ (a - b)) // p
+        values = _reconstruct(acc.tolist(), modulus)
+        if values is not None:
+            result = accept(values)
+            if result is not None:
+                return result
+        if (modulus - 1) // 2 >= need:
+            return None
+
+
+def hom_kernel(dims, wb, v_inv, certify):
+    """Certified basis of the hom space V -> W of nullity at most one, from
+    ``dims``, W.B and the exact V.B^{-1}.
+
+    The Z[w] intertwiner system is built once, as integers, and reduced mod
+    a prime p = 1 (mod 3) under w -> rho.  A nullity of 0 mod p certifies
+    an empty hom space.  For a nullity of 1, the free column is the last
+    nonzero coordinate of the kernel vector mod p; setting it to 1 and
+    keeping the rows of the pivots leaves a square system, invertible mod
+    p, whose solution is lifted p-adically (``_lift``).  ``certify(entries)``
+    checks a candidate exactly and returns its hom element or None.  A
+    passing candidate certifies the hom space: 1 <= exact nullity <=
+    nullity mod p = 1.  With a 1 at its free column and zeros after it, the
+    kernel vector is the one the exact reduced echelon form yields.
 
     Returns [] or [element] when certified; None (not certified) when the
-    nullity mod p is above 1 at the first usable prime, or no candidate has
-    passed after ``MAX_PRIMES`` primes.
+    nullity mod p is above 1, or when neither of two primes certifies.
     """
-    dims = V.dims
-    if not within_headroom(dims.n):
+    cols = dims.a ** 2 + dims.b ** 2
+    if not within_headroom(cols):
         return None
-    v_parts = _scaled_parts(V.B)
-    w_parts = _scaled_parts(W.B)
-    free = None
-    for p, rho in islice(primes(), MAX_PRIMES):
-        v_mod = _parts_mod(v_parts, p)
-        w_mod = _parts_mod(w_parts, p)
-        if v_mod is None or w_mod is None:
-            continue
-        images = []
-        for r in (rho, rho * rho % p):
-            v_inv = _inverse_mod(_image(v_mod, p, r), p)
-            if v_inv is None:
-                break
-            system = _hom_system_mod(dims, _image(w_mod, p, r), v_inv, p)
-            nullity, vec = _kernel_mod(system, p)
-            if nullity == 0:
-                return []
-            if nullity > 1:
-                if free is None:
-                    return None
-                break
-            images.append(vec)
-        if len(images) < 2:
-            continue
-        last = [int(np.flatnonzero(vec)[-1]) for vec in images]
-        if last[0] != last[1] or (free is not None and last[0] < free):
-            continue  # p divides an entry of the kernel vector
-        if free is None or last[0] > free:
-            free, modulus, used = last[0], 1, 0
-            residues = [0] * (2 * len(images[0]))
-        # v(rho) = a + b*rho and v(rho^2) = a + b*rho^2
-        b = (images[0] - images[1]) % p * pow(rho - rho * rho, -1, p) % p
-        a = (images[0] - b * rho) % p
-        step = pow(modulus, -1, p)
-        for i, x in enumerate(np.concatenate([a, b]).tolist()):
-            residues[i] += modulus * ((x - residues[i] % p) * step % p)
-        modulus *= p
-        used += 1
-        if used % 2:
-            continue
-        values = _reconstruct(residues, modulus)
-        if values is None:
-            continue
-        half = len(values) // 2
-        vec = [CycRat(Rational(*values[i]), Rational(*values[half + i]))
-               for i in range(half)]
-        # The exact kernel vector has a 1 at the free column and zeros after it.
-        if vec[free] != 1 or any(vec[free + 1:]):
-            continue
-        result = certify(vec)
+    re, rh = _hom_system(dims, wb, v_inv)
+    for p, rho in PRIMES[:2]:
+        order = list(range(len(re)))
+        pivots = _rref_mod(_embed(re, rh, p, rho), p, order)
+        if len(pivots) == cols:
+            return []
+        if len(pivots) < cols - 1:
+            return None
+        (free,) = set(range(cols)).difference(pivots)
+        rows = order[:cols - 1]
+        keep = [c for c in range(cols) if c != free]
+
+        def accept(values, free=free):
+            half = len(values) // 2
+            vec = [CycRat(Rational(*values[i]), Rational(*values[half + i]))
+                   for i in range(half)]
+            vec.insert(free, CycRat(1))
+            # The exact kernel vector has a 1 at the free column and zeros after it.
+            return None if any(vec[free + 1:]) else certify(vec)
+
+        result = _lift((re[np.ix_(rows, keep)], rh[np.ix_(rows, keep)]),
+                       (-re[rows, free], -rh[rows, free]), p, rho, accept)
         if result is not None:
             return [result]
     return None

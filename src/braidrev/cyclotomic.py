@@ -161,20 +161,24 @@ def parse_cycrat(text: str) -> CycRat:
     """Parse the canonical text syntax produced by ``str(CycRat)``.
 
     Accepted forms: ``<rat>``, ``<rat>w``, ``<rat>+<rat>w``, ``<rat>-<rat>w``
-    where ``<rat>`` is ``[-]digits[/digits]``.
+    where ``<rat>`` is ``[-]digits[/digits]``.  Anything else, a value
+    that is not a string or a zero denominator included, raises ValueError.
     """
-    m = _CYC_RE.match(text.strip())
+    m = _CYC_RE.match(text.strip()) if isinstance(text, str) else None
     if m is None:
         raise ValueError(f"not a valid Q(w) literal: {text!r}")
-    if m.group("lone") is not None:
-        value = Rational(m.group("lone"))
-        if m.group("lonew"):
-            return CycRat(0, value)
-        return CycRat(value)
-    rh = Rational(m.group("rh"))
-    if m.group("sign") == "-":
-        rh = -rh
-    return CycRat(Rational(m.group("re")), rh)
+    try:
+        if m.group("lone") is not None:
+            value = Rational(m.group("lone"))
+            if m.group("lonew"):
+                return CycRat(0, value)
+            return CycRat(value)
+        rh = Rational(m.group("rh"))
+        if m.group("sign") == "-":
+            rh = -rh
+        return CycRat(Rational(m.group("re")), rh)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in Q(w) literal: {text!r}") from None
 
 
 class DegreeMismatchError(ValueError):

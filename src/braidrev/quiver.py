@@ -13,7 +13,6 @@ orbit of that action.  The transpose involution sends B to (B^{-1})^tr.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 
@@ -85,10 +84,12 @@ class DimVector:
     @classmethod
     def from_obj(cls, obj: dict) -> "DimVector":
         try:
-            return cls(int(obj["a"]), int(obj["b"]), int(obj["x"]),
-                       int(obj["y"]), int(obj["z"]))
+            values = [obj[key] for key in "abxyz"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed dimension vector object: {exc}") from exc
+        if any(type(v) is not int for v in values):  # bool is not an entry
+            raise ValueError(f"dimension vector entries must be integers, got {values}")
+        return cls(*values)
 
 
 def is_simple_dimvector(d: DimVector) -> bool:
@@ -227,18 +228,18 @@ def hom_space(V: QuiverRep, W: QuiverRep) -> list:
     linear condition on the entries of (M1, M2).  The returned basis is
     deterministic (reduced echelon form of that condition).
 
-    Hom spaces of dimension 0 or 1 are found modulo primes and certified
-    exactly (``_modp.hom_kernel``); any other case, or one the primes
-    cannot certify, is solved by exact elimination (``_hom_space_exact``).
-    The basis is the same either way.
+    Hom spaces of dimension 0 or 1 are found by p-adic lifting at one
+    prime and certified exactly (``_modp.hom_kernel``); any other case, or
+    one the lifting cannot certify, is solved by exact elimination
+    (``_hom_space_exact``).  The basis is the same either way.
     """
     if V.dims != W.dims:
         raise ShapeError(f"dimension vectors differ: {V.dims} vs {W.dims}")
-    v_inv = functools.cache(V.B.inverse)  # not needed for an empty hom space
+    v_inv = V.B.inverse()
     basis = _modp.hom_kernel(
-        V, W, lambda flat: _hom_element(V.dims, W.B, v_inv(), flat, check=True))
+        V.dims, W.B, v_inv, lambda flat: _hom_element(V.dims, W.B, v_inv, flat, check=True))
     if basis is None:
-        basis = _hom_space_exact(V, W, v_inv())
+        basis = _hom_space_exact(V, W, v_inv)
     return basis
 
 

@@ -197,6 +197,16 @@ SINGULAR_QUIVER = {"dims": DIMS_2,
                    "B": {"rows": 2, "cols": 2, "entries": [["1", "1"], ["1", "1"]]}}
 
 
+def quiver_with(*entry, **dims):
+    """A valid 2 x 2 quiver object with B[0][1] (if given) and some
+    dimensions replaced."""
+    B = {"rows": 2, "cols": 2, "entries": [["1", "1"], ["2", "1"]]}
+    if entry:
+        (B["entries"][0][1],) = entry
+    return {"dims": dict(DIMS_2, **dims), "B": B}
+
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "args,content,env",
@@ -208,9 +218,19 @@ class TestMalformedInput:
             (["trace", "--rep", "{f}", "--braid", "s1"], [], {}),
             (["reversion", "--alpha", "2,1,1,1,1", "--trials", "1"], None,
              {"BRAIDREV_SEED": "abc"}),
+            (["build", "--quiver", "{f}"], quiver_with(1.5), {}),
+            (["build", "--quiver", "{f}"], quiver_with(None), {}),
+            (["build", "--quiver", "{f}"], quiver_with(["1"]), {}),
+            (["build", "--quiver", "{f}"], quiver_with("1/0"), {}),
+            (["build", "--quiver", "{f}"], quiver_with("1+1/0w"), {}),
+            (["build", "--quiver", "{f}"], quiver_with(a=1.5), {}),
+            (["build", "--quiver", "{f}"], quiver_with(b=True), {}),
+            (["build", "--quiver", "{f}"], quiver_with(x="1"), {}),
         ],
         ids=["isom-singular-B", "build-no-B", "isom-no-B", "build-list",
-             "trace-list", "bad-env-seed"],
+             "trace-list", "bad-env-seed", "entry-float", "entry-null",
+             "entry-list", "entry-zero-denominator", "entry-zero-denominator-w",
+             "dims-float", "dims-bool", "dims-string"],
     )
     def test_usage_error_without_traceback(self, tmp_path, args, content, env):
         path = tmp_path / "input.json"
@@ -218,7 +238,7 @@ class TestMalformedInput:
         result = run_cli(*(a.replace("{f}", str(path)) for a in args),
                          env=dict(os.environ, **env))
         assert result.returncode == 2
-        assert "error" in result.stderr
+        assert "error:" in result.stderr
         assert "Traceback" not in result.stderr
 
 

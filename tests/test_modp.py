@@ -1,9 +1,8 @@
-import itertools
 import math
 from types import SimpleNamespace
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from braidrev import CycMatrix, CycRat, Rational, _modp
 
@@ -34,29 +33,20 @@ def trial_division(n: int) -> bool:
 
 
 class TestPrimeStream:
-    def test_starts_with_the_table(self):
-        head = itertools.islice(_modp.primes(), len(_modp.PRIMES))
-        assert tuple(head) == _modp.PRIMES
+    """The table of primes the modular routines use."""
 
     def test_primes_with_cube_roots(self):
-        stream = list(itertools.islice(_modp.primes(), 40))
-        assert [p for p, _ in stream] == sorted({p for p, _ in stream}, reverse=True)
-        for p, rho in stream + list(_modp.PRIMES):
+        assert [p for p, _ in _modp.PRIMES] == sorted({p for p, _ in _modp.PRIMES},
+                                                      reverse=True)
+        for p, rho in _modp.PRIMES:
             assert p < 2 ** _modp.PRIME_BITS and p % 3 == 1
             assert trial_division(p)
             assert rho != 1 and pow(rho, 3, p) == 1
 
     def test_no_prime_skipped(self):
-        stream = [2 ** _modp.PRIME_BITS] + [p for p, _ in itertools.islice(_modp.primes(), 10)]
-        for hi, lo in zip(stream, stream[1:]):
+        table = [2 ** _modp.PRIME_BITS] + [p for p, _ in _modp.PRIMES]
+        for hi, lo in zip(table, table[1:]):
             assert not any(trial_division(q) for q in range(lo + 6, hi, 6))
-
-    def test_miller_rabin_matches_trial_division(self):
-        for n in range(2000):
-            assert _modp._is_prime(n) == trial_division(n), n
-        # strong pseudoprimes to the first one, two and three bases
-        for n in (2047, 1373653, 25326001):
-            assert not _modp._is_prime(n)
 
 
 def entrywise_mod(mat, p, rho):
@@ -107,8 +97,9 @@ class TestHeadroom:
         assert _modp.burnside_rank_mod(big, big, _modp.PRIMES[0][0]) is None
 
     def test_hom_kernel_refuses_before_reducing(self):
-        stub = SimpleNamespace(dims=SimpleNamespace(n=4096), B=None)
-        assert _modp.hom_kernel(stub, stub, certify=None) is None
+        # 2 * 32**2 = 2048 unknowns; neither matrix is looked at
+        dims = SimpleNamespace(a=32, b=32)
+        assert _modp.hom_kernel(dims, None, None, certify=None) is None
 
     def test_det_nonzero_goes_exact(self):
         # no ``entries``: reducing the matrix would raise
@@ -154,3 +145,116 @@ class TestReconstruction:
         residues = [int(v.numerator) * pow(int(v.denominator), -1, m) % m for v in values]
         out = _modp._reconstruct(residues, m)
         assert [Rational(n, d) for n, d in out] == values
+
+
+def zw_arrays(rows, dtype=object):
+    """(re, rh) integer arrays of a list of rows of (a, b) pairs, a + b*w."""
+    re = np.array([[a for a, _ in row] for row in rows], dtype=dtype)
+    rh = np.array([[b for _, b in row] for row in rows], dtype=dtype)
+    return re, rh
+
+
+def exact_solution(rows, rhs):
+    """block^{-1} . rhs over Q(w), as a list of CycRat."""
+    inv = CycMatrix([[CycRat(a, b) for a, b in row] for row in rows]).inverse()
+    col = CycMatrix([[CycRat(a, b)] for a, b in rhs])
+    sol = inv @ col
+    return [sol[i, 0] for i in range(len(rhs))]
+
+
+def exact_solution_values(rows, rhs):
+    """The rational parts of the exact solution as (numerator, denominator)
+    pairs, real parts first, in the layout ``_lift`` reconstructs."""
+    sol = exact_solution(rows, rhs)
+    return [(int(v.numerator), int(v.denominator))
+            for v in [x.re for x in sol] + [x.rh for x in sol]]
+
+
+def checked(rows, rhs):
+    """An ``accept`` for ``_lift`` that rebuilds the candidate and keeps it
+    only if it solves the system exactly."""
+    block = CycMatrix([[CycRat(a, b) for a, b in row] for row in rows])
+    target = CycMatrix([[CycRat(a, b)] for a, b in rhs])
+
+    def accept(values):
+        half = len(values) // 2
+        vec = [CycRat(Rational(*values[i]), Rational(*values[half + i]))
+               for i in range(half)]
+        return vec if block @ CycMatrix([[v] for v in vec]) == target else None
+
+    return accept
+
+
+def zw_systems(height: int):
+    """Square Z[w] systems (rows, rhs) of size 1..4, entries up to ``height``."""
+    entry = st.tuples(st.integers(-height, height), st.integers(-height, height))
+
+    def system(n):
+        return st.tuples(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                  min_size=n, max_size=n),
+                         st.lists(entry, min_size=n, max_size=n))
+
+    return st.integers(1, 4).flatmap(system)
+
+
+class TestLift:
+    """``_lift`` against the exact inverse."""
+
+    P, RHO = _modp.PRIMES[0]
+
+    def invertible_mod_p(self, rows) -> bool:
+        block = zw_arrays(rows)
+        return all(_modp._inverse_mod(_modp._embed(*block, self.P, r), self.P) is not None
+                   for r in (self.RHO, self.RHO * self.RHO % self.P))
+
+    def lift(self, rows, rhs, dtype=object, accept=None):
+        block = zw_arrays(rows, dtype)
+        target = tuple(part[0] for part in zw_arrays([rhs], dtype))
+        return _modp._lift(block, target, self.P, self.RHO,
+                           accept or checked(rows, rhs))
+
+    @given(zw_systems(5))
+    @settings(deadline=None)
+    def test_small_entries(self, system):
+        rows, rhs = system
+        assume(self.invertible_mod_p(rows))
+        assert self.lift(rows, rhs, np.int64) == exact_solution(rows, rhs)
+
+    @given(zw_systems(2 ** 70))
+    @settings(deadline=None, max_examples=40)
+    def test_python_int_residual(self, system):
+        # entries above the int64 bound: the residual is held in Python ints
+        rows, rhs = system
+        assume(self.invertible_mod_p(rows))
+        assert self.lift(rows, rhs) == exact_solution(rows, rhs)
+
+    def test_singular_mod_p(self):
+        # det = P: invertible over Q(w), singular mod P
+        rows, rhs = [[(self.P, 0), (0, 0)], [(0, 0), (1, 0)]], [(1, 0), (1, 0)]
+        assert self.lift(rows, rhs) is None
+
+    def test_singular_under_second_root_only(self):
+        # w - rho is a unit under w -> rho^2 and vanishes under w -> rho;
+        # w - rho^2 is the other way round
+        for root in (self.RHO, self.RHO * self.RHO % self.P):
+            assert self.lift([[(-root, 1)]], [(1, 0)]) is None
+
+    def test_bound_is_reached_on_a_tight_system(self):
+        # 1 / (a + w) = ((a - 1) - w) / N with N = a^2 - a + 1, which is
+        # the Hadamard bound h itself.  Rebuilding a denominator N needs
+        # p^k > 2 N^2, and a is chosen so that p^16 is about 1.5 N^2: the
+        # lift must go past step 16, so a bound below about 0.75 h^2 gives
+        # up one step too early.
+        a = math.isqrt(math.isqrt(2 * self.P ** 16 // 3))
+        norm = a * a - a + 1
+        assert norm ** 2 < self.P ** 16 < 2 * norm ** 2
+        expected = [(a - 1, norm), (-1, norm)]
+        accept = lambda values: values if values == expected else None  # noqa: E731
+        assert self.lift([[(a, 1)]], [(1, 0)], accept=accept) == expected
+
+    def test_gives_up_after_the_bound(self):
+        calls = []
+        rows, rhs = [[(3, 1), (0, 2)], [(1, 1), (5, -2)]], [(1, 0), (2, 1)]
+        assert self.lift(rows, rhs, accept=lambda v: calls.append(v)) is None
+        assert calls and calls[-1] == exact_solution_values(rows, rhs)
+

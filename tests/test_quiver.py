@@ -276,18 +276,79 @@ class TestModularHomSpace:
         assert count.calls == 1
         assert basis == _hom_space_exact(S, T)
 
-    @pytest.mark.parametrize("k", [3, 4])
-    def test_odd_family_points(self, k):
-        V = make_odd_family(k, 7)
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @given(seed=st.integers(0, 10 ** 6))
+    @settings(deadline=None, max_examples=3)
+    def test_odd_family_points(self, k, seed):
+        V = make_odd_family(k, seed)
         W = tau_quiver(V)
-        basis = hom_space(W, V)
+        with counting_nullspace() as count:
+            basis = hom_space(W, V)
+        assert count.calls == 0
         assert len(basis) == 1
         assert basis == _hom_space_exact(W, V)
 
-    def test_too_few_primes_falls_back(self, monkeypatch):
+    def test_python_int_residual(self, monkeypatch):
+        # hom(V, tau V) multiplies two inverses: coefficients above the
+        # int64 bound, so the system and the residual hold Python ints
         V = make_odd_family(3, 11)
         W = tau_quiver(V)
-        monkeypatch.setattr(_modp, "MAX_PRIMES", 2)
+        lifted = []
+        lift = _modp._lift
+
+        def spy(block, rhs, p, rho, accept):
+            lifted.append((block[0].dtype, max(abs(int(x)) for x in block[0].ravel())))
+            return lift(block, rhs, p, rho, accept)
+
+        monkeypatch.setattr(_modp, "_lift", spy)
+        with counting_nullspace() as count:
+            basis = hom_space(V, W)
+        assert count.calls == 0
+        ((dtype, height),) = lifted
+        assert dtype == object and height >= 2 ** 62
+        assert len(basis) == 1
+        assert basis == _hom_space_exact(V, W)
+
+    @pytest.mark.parametrize("k", [7, 11])
+    def test_large_odd_points_certify(self, k, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact fallback taken")
+
+        monkeypatch.setattr(quiver, "_hom_space_exact", refuse)
+        V = make_odd_family(k, 1)
+        (g,) = hom_space(tau_quiver(V), V)
+        assert g.is_invertible()
+
+    def test_singular_second_root_moves_on(self, monkeypatch):
+        # at p = 13 (rho = 3) the square block of this point is invertible
+        # under w -> 3 and singular under w -> 9; the next prime certifies
+        V = stable_rep((2, 2, 2, 1, 1), 0)
+        W = tau_quiver(V)
+        small, table = (13, 3), _modp.PRIMES[0]
+        lifted = []
+        lift = _modp._lift
+
+        def spy(block, rhs, p, rho, accept):
+            images = [_modp._inverse_mod(_modp._embed(*block, p, r), p)
+                      for r in (rho, rho * rho % p)]
+            lifted.append((p, [inv is None for inv in images]))
+            return lift(block, rhs, p, rho, accept)
+
+        monkeypatch.setattr(_modp, "PRIMES", (small, table))
+        monkeypatch.setattr(_modp, "_lift", spy)
+        with counting_nullspace() as count:
+            basis = hom_space(W, V)
+        assert lifted == [(13, [False, True]), (table[0], [False, False])]
+        assert count.calls == 0
+        assert basis == _hom_space_exact(W, V)
+        assert len(basis) == 1
+
+    def test_too_few_primes_falls_back(self, monkeypatch):
+        # nothing reconstructs: both primes lift to the Hadamard bound and
+        # give up, and exact elimination answers
+        V = make_odd_family(3, 11)
+        W = tau_quiver(V)
+        monkeypatch.setattr(_modp, "_reconstruct", lambda residues, m: None)
         with counting_nullspace() as count:
             basis = hom_space(W, V)
         assert count.calls == 1
@@ -313,11 +374,10 @@ class TestModularHomSpace:
             return result
 
         monkeypatch.setattr(_modp, "_reconstruct", corrupted)
-        monkeypatch.setattr(_modp, "MAX_PRIMES", 16)
         monkeypatch.setattr(quiver, "_hom_element", checked)
         with counting_nullspace() as count:
             basis = hom_space(W, V)
-        assert rejected and rejected[0]
+        assert rejected and all(rejected[:-1])
         assert count.calls == 1
         assert basis == _hom_space_exact(W, V)
         assert len(basis) == 1
