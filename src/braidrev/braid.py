@@ -144,15 +144,14 @@ class B3Rep:
     with central scalar 1.  Generator inverses are cached because braid
     words are short but exact inversion is the expensive step."""
 
-    __slots__ = ("n", "X1", "X2", "dims", "_inv1", "_inv2")
+    __slots__ = ("n", "X1", "X2", "_inv1", "_inv2")
 
-    def __init__(self, X1: CycMatrix, X2: CycMatrix, dims: DimVector | None = None):
+    def __init__(self, X1: CycMatrix, X2: CycMatrix):
         if not X1.is_square() or X1.shape != X2.shape:
             raise ShapeError("generator images must be square of equal size")
         self.n = X1.rows
         self.X1 = X1
         self.X2 = X2
-        self.dims = dims
         self._inv1 = None
         self._inv2 = None
 
@@ -183,7 +182,7 @@ class B3Rep:
         return self.X1 == other.X1 and self.X2 == other.X2
 
     def __repr__(self) -> str:
-        return f"B3Rep(n={self.n}, dims={self.dims})"
+        return f"B3Rep(n={self.n})"
 
     def to_obj(self) -> dict:
         return {"n": self.n, "X1": self.X1.to_obj(), "X2": self.X2.to_obj()}
@@ -211,7 +210,7 @@ def build_rep(V: QuiverRep) -> B3Rep:
     )
     J = _sign_matrix(d)
     core = V.B.inverse() @ D @ V.B
-    return B3Rep(core @ J, J @ core, dims=d)
+    return B3Rep(core @ J, J @ core)
 
 
 def _sign_matrix(d: DimVector) -> CycMatrix:
@@ -220,7 +219,7 @@ def _sign_matrix(d: DimVector) -> CycMatrix:
 
 def tau_rep(phi: B3Rep) -> B3Rep:
     """Transpose involution on representations: (X1, X2) -> (X1^tr, X2^tr)."""
-    return B3Rep(phi.X1.transpose(), phi.X2.transpose(), dims=phi.dims)
+    return B3Rep(phi.X1.transpose(), phi.X2.transpose())
 
 
 def _power(phi: B3Rep, gen: int, exp: int) -> CycMatrix:

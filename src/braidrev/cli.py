@@ -258,8 +258,11 @@ def cmd_build(args) -> int:
 def cmd_jumping(args) -> int:
     if args.n < 2:
         return _fail("--n must be at least 2")
+    if args.trials < 1:
+        return _fail("--trials must be at least 1")
     dims = DimVector(2 * args.n, args.n, args.n, args.n, args.n)
     lines = [f"jumping-lines pencils for dims {dims} (experimental, no pass/fail)"]
+    results = []
     for trial in range(args.trials):
         rng = random.Random(_trial_seed(args.seed, trial))
         try:
@@ -269,11 +272,13 @@ def cmd_jumping(args) -> int:
         V = QuiverRep(dims, B)
         p = families.jumping_pencil(V)
         q = families.jumping_pencil(families.tau_quiver(V))
+        proportional = families.poly_proportional(p, q)
+        results.append({"trial": trial, "pencil": str(p), "tau_pencil": str(q),
+                        "proportional": proportional})
         lines.append(f"trial {trial}: pencil      {p}")
         lines.append(f"trial {trial}: tau pencil  {q}")
-        lines.append(f"trial {trial}: proportional: {families.poly_proportional(p, q)}")
-    for line in lines:
-        print(line)
+        lines.append(f"trial {trial}: proportional: {proportional}")
+    _emit(args, {"dims": dims.to_obj(), "trials": results}, lines)
     return 0
 
 

@@ -226,9 +226,9 @@ def verify_even_witness(k: int, A: CycMatrix) -> WitnessReport:
     right = block_diag([C_inv @ A, -C_inv])
     id_factorization = V.B == left @ W.B @ right
 
-    sink = left.with_blocks((k, k - 1, 1), (k, k - 1, 1))
+    sink = (k, k - 1, 1)
     id_left_blocks = all(
-        block_extract(sink, i, j).is_zero()
+        block_extract(left, sink, sink, i, j).is_zero()
         for i in range(3)
         for j in range(3)
         if i != j
@@ -439,8 +439,8 @@ def _bundle_blocks(V: QuiverRep):
     if not (nb >= 1 and d.a == 2 * nb and d.x == d.y == d.z == nb):
         raise ShapeError(f"dims {d} are not of the shape (2n, n; n, n, n)")
     b_inv = V.B.inverse()
-    bs = [block_extract(V.B, i, 1) for i in range(3)]
-    cs = [block_extract(b_inv, 1, i) for i in range(3)]
+    bs = [block_extract(V.B, d.sink_blocks, d.source_blocks, i, 1) for i in range(3)]
+    cs = [block_extract(b_inv, d.source_blocks, d.sink_blocks, 1, i) for i in range(3)]
     return bs, cs
 
 

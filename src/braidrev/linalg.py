@@ -7,19 +7,19 @@ Equality and hashing compare those fields.  Products, sums and traces
 are Python integer arithmetic, with w**2 = -1 - w and one gcd pass per
 result; ``entries`` is a lazy view of the matrix as rows of ``CycRat``.
 
-Matrices carry optional row/column block annotations so that a single
-n x n matrix can be read as a grid of sub-blocks (the representation data
-of the 2x3 star quiver).  Determinant, rank, inverse and nullspace share
-one elimination kernel, ``_bareiss``: fraction-free Gauss-Jordan over the
-integers Z[w] (Bareiss 1968), which divides exactly by the previous pivot
-and pivots on the first nonzero entry scanning down a column.  Their
-results are unique, so they do not depend on how they were computed.  The
-determinant of a pencil is interpolated from determinants.
+A matrix carries only its value.  Reading it as a grid of sub-blocks (the
+representation data of the 2x3 star quiver) takes the block sizes from
+the caller, as ``block_extract`` does.  Determinant, rank, inverse and
+nullspace share one elimination kernel, ``_bareiss``: fraction-free
+Gauss-Jordan over the integers Z[w] (Bareiss 1968), which divides exactly
+by the previous pivot and pivots on the first nonzero entry scanning down
+a column.  Their results are unique, so they do not depend on how they
+were computed.  The determinant of a pencil is interpolated from
+determinants.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from fractions import Fraction
@@ -41,7 +41,7 @@ __all__ = [
 
 
 class ShapeError(ValueError):
-    """Operand shapes or block annotations are inconsistent."""
+    """Operand shapes or block sizes are inconsistent."""
 
 
 class SingularMatrixError(ValueError):
@@ -56,17 +56,6 @@ def _as_cycrat(value) -> CycRat:
     if isinstance(value, CycRat):
         return value
     return CycRat(value)
-
-
-def _check_blocks(blocks, total, what) -> tuple | None:
-    if blocks is None:
-        return None
-    blocks = tuple(int(s) for s in blocks)
-    if any(s < 0 for s in blocks):
-        raise ShapeError(f"negative size in {what} {blocks}")
-    if sum(blocks) != total:
-        raise ShapeError(f"{what} {blocks} do not sum to {total}")
-    return blocks
 
 
 def _cycrat(a: int, b: int, den: int) -> CycRat:
@@ -119,7 +108,7 @@ def _unpack(buf: bytes, width: int, rows: int, cols: int) -> list:
 
 
 class CycMatrix:
-    """Dense matrix over Q(w) with optional block annotations.
+    """Dense matrix over Q(w).
 
     The value is (re + rh*w) / den in canonical form: den > 0 and
     gcd(den, every entry of re and rh) = 1.  The integer matrices are kept
@@ -127,13 +116,12 @@ class CycMatrix:
     the memory of lists of ints), and ``re`` and ``rh`` unpack fresh lists
     on each read.  Instances are immutable: every
     operation returns a new matrix, and ``entries`` must not be mutated.
-    Equality compares shape and value only, never annotations.
+    Equality compares shape and value.
     """
 
-    __slots__ = ("rows", "cols", "den", "row_blocks", "col_blocks", "_width", "_re",
-                 "_rh", "_entries")
+    __slots__ = ("rows", "cols", "den", "_width", "_re", "_rh", "_entries")
 
-    def __init__(self, entries: Sequence[Sequence], row_blocks=None, col_blocks=None):
+    def __init__(self, entries: Sequence[Sequence]):
         rows = len(entries)
         cols = len(entries[0]) if rows else 0
         data = []
@@ -146,22 +134,18 @@ class CycMatrix:
         # some numerator coprime to it: the result is already canonical.
         self._store(rows, cols, den,
                     [[v.re.numerator * (den // v.re.denominator) for v in row] for row in data],
-                    [[v.rh.numerator * (den // v.rh.denominator) for v in row] for row in data],
-                    row_blocks, col_blocks)
+                    [[v.rh.numerator * (den // v.rh.denominator) for v in row] for row in data])
 
-    def _store(self, rows, cols, den, re, rh, row_blocks, col_blocks) -> None:
+    def _store(self, rows, cols, den, re, rh) -> None:
         self.rows, self.cols, self.den = rows, cols, den
         self._width = max(map(int.bit_length, chain(*re, *rh)), default=0) // 8 + 1
         self._re, self._rh = _pack(re, self._width), _pack(rh, self._width)
-        self.row_blocks = _check_blocks(row_blocks, rows, "row_blocks")
-        self.col_blocks = _check_blocks(col_blocks, cols, "col_blocks")
         self._entries = None
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def _from_parts(cls, rows, cols, den, re, rh, row_blocks=None, col_blocks=None,
-                    canonical=False) -> "CycMatrix":
+    def _from_parts(cls, rows, cols, den, re, rh, canonical=False) -> "CycMatrix":
         """The matrix (re + rh*w) / den, brought to canonical form unless the
         caller knows it already is; the shape is explicit for empty matrices."""
         if not canonical:
@@ -171,7 +155,7 @@ class CycMatrix:
                 re = [[a // g for a in row] for row in re]
                 rh = [[b // g for b in row] for row in rh]
         mat = cls.__new__(cls)
-        mat._store(rows, cols, den, re, rh, row_blocks, col_blocks)
+        mat._store(rows, cols, den, re, rh)
         return mat
 
     @classmethod
@@ -193,13 +177,6 @@ class CycMatrix:
     @classmethod
     def scalar(cls, n: int, c) -> "CycMatrix":
         return cls.diagonal([c] * n)
-
-    def with_blocks(self, row_blocks=None, col_blocks=None) -> "CycMatrix":
-        """Same entries, fresh block annotations."""
-        mat = copy.copy(self)
-        mat.row_blocks = _check_blocks(row_blocks, self.rows, "row_blocks")
-        mat.col_blocks = _check_blocks(col_blocks, self.cols, "col_blocks")
-        return mat
 
     # -- basics ------------------------------------------------------------
 
@@ -260,8 +237,7 @@ class CycMatrix:
         s, t = den // self.den, sign * (den // other.den)
         re, rh = ([[a * s + b * t for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
                   for x, y in ((self.re, other.re), (self.rh, other.rh)))
-        return CycMatrix._from_parts(self.rows, self.cols, den, re, rh, self.row_blocks,
-                                     self.col_blocks)
+        return CycMatrix._from_parts(self.rows, self.cols, den, re, rh)
 
     def __add__(self, other: "CycMatrix") -> "CycMatrix":
         return self._combine(other, 1, "add")
@@ -275,8 +251,7 @@ class CycMatrix:
     def scale(self, c) -> "CycMatrix":
         c = CycMatrix([[c]])  # (c0 + c1 w) / d
         re, rh = _times(self.re, self.rh, c.re[0][0], c.rh[0][0])
-        return CycMatrix._from_parts(self.rows, self.cols, self.den * c.den, re, rh,
-                                     self.row_blocks, self.col_blocks)
+        return CycMatrix._from_parts(self.rows, self.cols, self.den * c.den, re, rh)
 
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
         if not isinstance(other, CycMatrix):
@@ -289,8 +264,7 @@ class CycMatrix:
         re = [[x - y for x, y in zip(rp, rq)] for rp, rq in zip(p, q)]
         rh = [[z - x - 2 * y for x, y, z in zip(rp, rq, rs)]
               for rp, rq, rs in zip(p, q, s)]
-        return CycMatrix._from_parts(self.rows, other.cols, self.den * other.den, re, rh,
-                                     self.row_blocks, other.col_blocks)
+        return CycMatrix._from_parts(self.rows, other.cols, self.den * other.den, re, rh)
 
     def trace_of_product(self, other: "CycMatrix") -> CycRat:
         """Tr(self @ other), from the diagonal of the product alone."""
@@ -300,11 +274,10 @@ class CycMatrix:
         return _cycrat(p - q, s - p - 2 * q, self.den * other.den)
 
     def transpose(self) -> "CycMatrix":
-        """Entry (i, j) -> (j, i); block annotations swap roles."""
-        return CycMatrix._from_parts(
-            self.cols, self.rows, self.den, _columns(self.re, self.cols),
-            _columns(self.rh, self.cols), self.col_blocks, self.row_blocks,
-            canonical=True)
+        """Entry (i, j) -> (j, i)."""
+        return CycMatrix._from_parts(self.cols, self.rows, self.den,
+                                     _columns(self.re, self.cols),
+                                     _columns(self.rh, self.cols), canonical=True)
 
     def trace(self) -> CycRat:
         if not self.is_square():
@@ -317,11 +290,7 @@ class CycMatrix:
 
     def inverse(self) -> "CycMatrix":
         """Exact inverse: the adjugate over the determinant, from Gauss-Jordan
-        elimination of [self | I] with ``_bareiss``.
-
-        The inverse of a base-change matrix maps the opposite way, so block
-        annotations swap roles, as for ``transpose``.
-        """
+        elimination of [self | I] with ``_bareiss``."""
         if not self.is_square():
             raise ShapeError("inverse of a non-square matrix")
         n = self.rows
@@ -335,8 +304,7 @@ class CycMatrix:
         # conjugate (d0 - d1) - d1 w over its norm.
         re, rh = _times([row[n:] for row in work_re], [row[n:] for row in work_rh],
                         self.den * (d0 - d1), -self.den * d1)
-        return CycMatrix._from_parts(n, n, d0 * d0 - d0 * d1 + d1 * d1, re, rh,
-                                     self.col_blocks, self.row_blocks)
+        return CycMatrix._from_parts(n, n, d0 * d0 - d0 * d1 + d1 * d1, re, rh)
 
     def det(self) -> CycRat:
         """Exact determinant: the last pivot of fraction-free forward
@@ -382,35 +350,25 @@ class CycMatrix:
     # -- serialization ---------------------------------------------------------
 
     def to_obj(self) -> dict:
-        obj = {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[str(v) for v in row] for row in self.entries],
-        }
-        if self.row_blocks is not None:
-            obj["row_blocks"] = list(self.row_blocks)
-        if self.col_blocks is not None:
-            obj["col_blocks"] = list(self.col_blocks)
-        return obj
+        return {"rows": self.rows, "cols": self.cols,
+                "entries": [[str(v) for v in row] for row in self.entries]}
 
     @classmethod
     def from_obj(cls, obj: dict) -> "CycMatrix":
+        """The matrix of a JSON object; other keys, such as the block
+        annotations that older files carry, are ignored."""
         try:
-            rows = int(obj["rows"])
-            cols = int(obj["cols"])
-            raw = obj["entries"]
+            rows, cols, raw = obj["rows"], obj["cols"], obj["entries"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed matrix object: {exc}") from exc
+        if type(rows) is not int or type(cols) is not int:  # bool is not a size
+            raise ValueError(f"matrix rows and cols must be integers, got {rows!r}, {cols!r}")
         if len(raw) != rows or any(len(r) != cols for r in raw):
             raise ValueError(
                 f"entry grid does not match declared shape {rows}x{cols}"
             )
         entries = [[parse_cycrat(v) for v in row] for row in raw]
-        if rows == 0 or cols == 0:
-            mat = cls.zeros(rows, cols)
-        else:
-            mat = cls(entries)
-        return mat.with_blocks(obj.get("row_blocks"), obj.get("col_blocks"))
+        return cls(entries) if rows and cols else cls.zeros(rows, cols)
 
 
 def _bareiss(work_re, work_rh, ncols, reduce_up=True):
@@ -514,10 +472,10 @@ def span_closure_dim(one, gens, mul, insert, full: int) -> int:
 
 
 def block_compose(grid: Sequence[Sequence[CycMatrix]]) -> CycMatrix:
-    """Assemble a grid of blocks into one annotated matrix.
+    """Assemble a grid of blocks into one matrix.
 
     Block (i, j) must have the row count of its block-row and the column
-    count of its block-column; the result carries the induced annotations.
+    count of its block-column.
     """
     if not grid or not grid[0]:
         raise ShapeError("empty block grid")
@@ -539,30 +497,26 @@ def block_compose(grid: Sequence[Sequence[CycMatrix]]) -> CycMatrix:
         for r in range(row[0].rows):
             re.append([a * s for blk_re, _, s in parts for a in blk_re[r]])
             rh.append([b * s for _, blk_rh, s in parts for b in blk_rh[r]])
-    return CycMatrix._from_parts(sum(row_blocks), sum(col_blocks), den, re, rh,
-                                 row_blocks, col_blocks)
+    return CycMatrix._from_parts(sum(row_blocks), sum(col_blocks), den, re, rh)
 
 
-def block_extract(mat: CycMatrix, row_block: int, col_block: int) -> CycMatrix:
-    """Pull block (row_block, col_block) out of an annotated matrix."""
-    if mat.row_blocks is None or mat.col_blocks is None:
-        raise ShapeError("matrix has no block annotations")
-    r0 = sum(mat.row_blocks[:row_block])
-    c0 = sum(mat.col_blocks[:col_block])
-    nr = mat.row_blocks[row_block]
-    nc = mat.col_blocks[col_block]
+def block_extract(mat: CycMatrix, row_sizes: Sequence[int], col_sizes: Sequence[int],
+                  i: int, j: int) -> CycMatrix:
+    """Block (i, j) of ``mat`` read as a grid with the given row and column
+    block sizes, which must sum to its shape."""
+    if (sum(row_sizes), sum(col_sizes)) != mat.shape:
+        raise ShapeError(f"block sizes {tuple(row_sizes)} x {tuple(col_sizes)} "
+                         f"do not fit {mat.shape}")
+    r0, c0, nr, nc = sum(row_sizes[:i]), sum(col_sizes[:j]), row_sizes[i], col_sizes[j]
     return CycMatrix._from_parts(nr, nc, mat.den, *([row[c0:c0 + nc] for row in part[r0:r0 + nr]]
                                                     for part in (mat.re, mat.rh)))
 
 
 def block_diag(blocks: Sequence[CycMatrix]) -> CycMatrix:
     """Block-diagonal matrix from square blocks (zero-sized blocks allowed)."""
-    sizes = []
-    for blk in blocks:
-        if not blk.is_square():
-            raise ShapeError("block_diag needs square blocks")
-        sizes.append(blk.rows)
-    n = sum(sizes)
+    if not all(blk.is_square() for blk in blocks):
+        raise ShapeError("block_diag needs square blocks")
+    n = sum(blk.rows for blk in blocks)
     den = math.lcm(*(blk.den for blk in blocks))
     re = [[0] * n for _ in range(n)]
     rh = [[0] * n for _ in range(n)]
@@ -573,7 +527,7 @@ def block_diag(blocks: Sequence[CycMatrix]) -> CycMatrix:
             for i, row in enumerate(part):
                 out[off + i][off:off + blk.rows] = [a * s for a in row]
         off += blk.rows
-    return CycMatrix._from_parts(n, n, den, re, rh, tuple(sizes), tuple(sizes))
+    return CycMatrix._from_parts(n, n, den, re, rh)
 
 
 def pencil_det(P: CycMatrix, Q: CycMatrix, R: CycMatrix) -> TrivariatePoly:

@@ -113,9 +113,10 @@ def is_simple_dimvector(d: DimVector) -> bool:
 class QuiverRep:
     """A dimension vector plus its invertible base-change matrix B.
 
-    B is annotated with row blocks (x, y, z) and column blocks (a, b).
-    Invertibility is relied on by every consumer; it is raised lazily by
-    the elimination routines if violated.
+    B is read in row blocks (x, y, z) and column blocks (a, b), the sizes
+    ``dims.sink_blocks`` and ``dims.source_blocks``; B itself carries no
+    layout.  Invertibility is relied on by every consumer; it is raised
+    lazily by the elimination routines if violated.
     """
 
     __slots__ = ("dims", "B")
@@ -126,7 +127,7 @@ class QuiverRep:
         if B.shape != (dims.n, dims.n):
             raise ShapeError(f"matrix {B.shape} does not match {dims} (n={dims.n})")
         self.dims = dims
-        self.B = B.with_blocks(dims.sink_blocks, dims.source_blocks)
+        self.B = B
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuiverRep):
@@ -145,11 +146,13 @@ class QuiverRep:
     @classmethod
     def from_obj(cls, obj: dict) -> "QuiverRep":
         """Quiver data read from a file; unlike the constructor, this checks
-        that B is invertible."""
+        that B is invertible and that the space is not zero."""
         try:
             V = cls(DimVector.from_obj(obj["dims"]), CycMatrix.from_obj(obj["B"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed quiver object: {exc}") from exc
+        if V.dims.n == 0:
+            raise ValueError(f"dimension vector {V.dims} is zero")
         if not _modp.det_nonzero(V.B):
             raise ValueError("base-change matrix B is singular")
         return V
@@ -176,9 +179,6 @@ class GLAlphaElement:
 
     def is_invertible(self) -> bool:
         return all(_modp.det_nonzero(blk) for blk in self.blocks())
-
-    def inverse(self) -> "GLAlphaElement":
-        return GLAlphaElement(*(blk.inverse() for blk in self.blocks()))
 
     def scale(self, c: CycRat) -> "GLAlphaElement":
         return GLAlphaElement(*(blk.scale(c) for blk in self.blocks()))
@@ -303,7 +303,8 @@ def _hom_element(d: DimVector, wb: CycMatrix, v_inv: CycMatrix, flat: list,
                for c, (a, b) in enumerate(zip(row_re, row_rh)) if sink[r] != sink[c]):
             return None
     return GLAlphaElement(m_blocks[0], m_blocks[1],
-                          *(block_extract(prod, i, i) for i in range(3)))
+                          *(block_extract(prod, d.sink_blocks, d.sink_blocks, i, i)
+                            for i in range(3)))
 
 
 def _is_witness(g: GLAlphaElement, V: QuiverRep, W: QuiverRep) -> bool:

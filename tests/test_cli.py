@@ -197,12 +197,21 @@ SINGULAR_QUIVER = {"dims": DIMS_2,
                    "B": {"rows": 2, "cols": 2, "entries": [["1", "1"], ["1", "1"]]}}
 
 
-def quiver_with(*entry, **dims):
-    """A valid 2 x 2 quiver object with B[0][1] (if given) and some
-    dimensions replaced."""
+ZERO_QUIVER = {"dims": DimVector(0, 0, 0, 0, 0).to_obj(),
+               "B": {"rows": 0, "cols": 0, "entries": []}}
+# true == 1, so only the type check rejects it
+BOOL_COLS_QUIVER = {"dims": DimVector(1, 0, 1, 0, 0).to_obj(),
+                    "B": {"rows": 1, "cols": True, "entries": [["1"]]}}
+
+
+def quiver_with(*entry, shape=None, **dims):
+    """A valid 2 x 2 quiver object with B[0][1] (if given), B's declared
+    (rows, cols) (if given) and some dimensions replaced."""
     B = {"rows": 2, "cols": 2, "entries": [["1", "1"], ["2", "1"]]}
     if entry:
         (B["entries"][0][1],) = entry
+    if shape:
+        B["rows"], B["cols"] = shape
     return {"dims": dict(DIMS_2, **dims), "B": B}
 
 
@@ -226,11 +235,17 @@ class TestMalformedInput:
             (["build", "--quiver", "{f}"], quiver_with(a=1.5), {}),
             (["build", "--quiver", "{f}"], quiver_with(b=True), {}),
             (["build", "--quiver", "{f}"], quiver_with(x="1"), {}),
+            (["isom", "--rep1", "{f}", "--rep2", "{f}"], ZERO_QUIVER, {}),
+            (["build", "--quiver", "{f}"], ZERO_QUIVER, {}),
+            (["build", "--quiver", "{f}"], quiver_with(shape=(2.0, 2)), {}),
+            (["build", "--quiver", "{f}"], BOOL_COLS_QUIVER, {}),
+            (["build", "--quiver", "{f}"], quiver_with(shape=("2", 2)), {}),
         ],
         ids=["isom-singular-B", "build-no-B", "isom-no-B", "build-list",
              "trace-list", "bad-env-seed", "entry-float", "entry-null",
              "entry-list", "entry-zero-denominator", "entry-zero-denominator-w",
-             "dims-float", "dims-bool", "dims-string"],
+             "dims-float", "dims-bool", "dims-string", "isom-zero-dims",
+             "build-zero-dims", "rows-float", "cols-bool", "rows-string"],
     )
     def test_usage_error_without_traceback(self, tmp_path, args, content, env):
         path = tmp_path / "input.json"
@@ -247,6 +262,26 @@ class TestJumpingExperimental:
         result = run_cli("jumping", "--n", "2", "--trials", "1")
         assert result.returncode == 0
         assert "proportional: True" in result.stdout
+
+    def test_json_matches_text(self):
+        args = ("jumping", "--n", "2", "--trials", "2", "--seed", "3")
+        text = run_cli(*args).stdout.splitlines()
+        result = run_cli(*args, "--output", "json")
+        assert result.returncode == 0
+        payload = json.loads(result.stdout)
+        assert payload["dims"] == DimVector(4, 2, 2, 2, 2).to_obj()
+        assert [t["trial"] for t in payload["trials"]] == [0, 1]
+        for t in payload["trials"]:
+            assert f"trial {t['trial']}: pencil      {t['pencil']}" in text
+            assert f"trial {t['trial']}: tau pencil  {t['tau_pencil']}" in text
+            assert f"trial {t['trial']}: proportional: {t['proportional']}" in text
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_rejects_too_few_trials(self, trials):
+        result = run_cli("jumping", "--n", "2", "--trials", trials)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "error:" in result.stderr and "Traceback" not in result.stderr
 
 
 class TestDeterminism:

@@ -112,7 +112,6 @@ class TestDim6Detecting:
         V = make_dim6_detecting(self.PARAMS)
         assert V.B.entries[0] == [CycRat(1), CycRat(0), CycRat(0), a, CycRat(0), f]
         assert V.dims == DimVector(3, 3, 2, 2, 2)
-        assert V.B.row_blocks == (2, 2, 2) and V.B.col_blocks == (3, 3)
 
     def test_generic_point_simple_and_separating(self):
         V = make_dim6_detecting(self.PARAMS)
