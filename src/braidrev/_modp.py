@@ -101,21 +101,28 @@ def _inverse_mod(a, p: int):
     return work[:, n:].copy()
 
 
+def reduce_mod(*mats):
+    """(p, images): the first prime p of ``PRIMES`` that divides no
+    denominator of ``mats``, with their images in F_p; None if there is
+    none."""
+    for p, rho_img in PRIMES:
+        if all(mat.den % p for mat in mats):
+            return p, [matrix_mod(mat, p, rho_img) for mat in mats]
+    return None
+
+
 def det_nonzero(mat) -> bool:
     """Whether det(mat) != 0.
 
-    True when the determinant is nonzero mod the first prime of ``PRIMES``
-    that divides no denominator, which certifies it is nonzero; otherwise
-    the exact determinant decides.
+    True when the determinant is nonzero mod the prime of ``reduce_mod``,
+    which certifies it is nonzero; otherwise the exact determinant decides.
     """
     if mat.is_square() and within_headroom(mat.rows):
-        for p, rho_img in PRIMES:
-            a = matrix_mod(mat, p, rho_img)
-            if a is None:
-                continue
+        reduced = reduce_mod(mat)
+        if reduced is not None:
+            p, (a,) = reduced
             if len(_rref_mod(a, p)) == mat.rows:
                 return True
-            break
     return bool(mat.det())
 
 

@@ -19,7 +19,7 @@ from operator import matmul
 
 from . import _modp
 from .cyclotomic import CycRat, ONE, RHO, RHO2
-from .linalg import CycMatrix, ShapeError, _bareiss_row, block_diag, span_closure_dim
+from .linalg import CycMatrix, ShapeError, _bareiss_row, span_closure_dim
 from .quiver import DimVector, QuiverRep
 
 __all__ = [
@@ -191,8 +191,9 @@ class B3Rep:
     def from_obj(cls, obj: dict) -> "B3Rep":
         try:
             rep = cls(CycMatrix.from_obj(obj["X1"]), CycMatrix.from_obj(obj["X2"]))
-            if rep.n != int(obj.get("n", rep.n)):
-                raise ValueError("declared size does not match matrices")
+            n = obj.get("n", rep.n)
+            if type(n) is not int or n != rep.n:  # bool is not a size
+                raise ValueError(f"declared size {n!r} is not the integer {rep.n}")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed representation object: {exc}") from exc
         return rep
@@ -201,13 +202,7 @@ class B3Rep:
 def build_rep(V: QuiverRep) -> B3Rep:
     """Generator images recovered from the base-change matrix."""
     d = V.dims
-    D = block_diag(
-        [
-            CycMatrix.identity(d.x),
-            CycMatrix.scalar(d.y, RHO2),
-            CycMatrix.scalar(d.z, RHO),
-        ]
-    )
+    D = CycMatrix.diagonal([ONE] * d.x + [RHO2] * d.y + [RHO] * d.z)
     J = _sign_matrix(d)
     core = V.B.inverse() @ D @ V.B
     return B3Rep(core @ J, J @ core)
@@ -266,14 +261,11 @@ def is_simple(phi: B3Rep) -> bool:
     p certifies simplicity; anything less falls back to the exact
     computation.
     """
-    for p, rho_img in _modp.PRIMES:
-        a1 = _modp.matrix_mod(phi.X1, p, rho_img)
-        a2 = _modp.matrix_mod(phi.X2, p, rho_img)
-        if a1 is None or a2 is None:
-            continue
+    reduced = _modp.reduce_mod(phi.X1, phi.X2)
+    if reduced is not None:
+        p, (a1, a2) = reduced
         if _modp.burnside_rank_mod(a1, a2, p) == phi.n * phi.n:
             return True
-        break
     return _burnside_rank_exact(phi) == phi.n * phi.n
 
 

@@ -245,8 +245,11 @@ def cmd_build(args) -> int:
         return _fail(str(exc))
     payload = json.dumps(phi.to_obj(), indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(payload + "\n")
+        except OSError as exc:
+            return _fail(f"cannot write {args.out}: {exc}")
         print(f"wrote representation of size {phi.n} to {args.out}")
     else:
         print(payload)

@@ -111,10 +111,6 @@ class CycRat:
             return NotImplemented
         return self.re == other.re and self.rh == other.rh
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self) -> int:
         return hash((self.re, self.rh))
 

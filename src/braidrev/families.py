@@ -126,29 +126,32 @@ def random_matrix(rng: random.Random, rows: int, cols: int) -> CycMatrix:
     return CycMatrix([[random_cycrat(rng) for _ in range(cols)] for _ in range(rows)])
 
 
-def random_invertible(rng: random.Random, n: int, attempts: int = 64) -> CycMatrix:
-    for _ in range(attempts):
-        mat = random_matrix(rng, n, n)
-        if _modp.det_nonzero(mat):
-            return mat
-    raise SamplingError(f"no invertible {n}x{n} matrix in {attempts} attempts")
+# Samplers give up after this many draws, rather than loop forever on a
+# request that no draw meets.
+ATTEMPTS = 64
 
 
-def sample_stable_rep(dims: DimVector, rng: random.Random,
-                      attempts: int = 64) -> QuiverRep:
+def _first_valid(draw, valid, what: str):
+    """The first of ATTEMPTS values of ``draw()`` that passes ``valid``;
+    raises SamplingError naming ``what`` if none does."""
+    for _ in range(ATTEMPTS):
+        value = draw()
+        if valid(value):
+            return value
+    raise SamplingError(f"no {what} in {ATTEMPTS} attempts")
+
+
+def random_invertible(rng: random.Random, n: int) -> CycMatrix:
+    return _first_valid(lambda: random_matrix(rng, n, n), _modp.det_nonzero,
+                        f"invertible {n}x{n} matrix")
+
+
+def sample_stable_rep(dims: DimVector, rng: random.Random) -> QuiverRep:
     """Random representation with the given dimensions whose associated
     braid representation is simple; raises SamplingError on failure."""
-    n = dims.n
-    for _ in range(attempts):
-        B = random_matrix(rng, n, n)
-        if not _modp.det_nonzero(B):
-            continue
-        V = QuiverRep(dims, B)
-        if is_simple(build_rep(V)):
-            return V
-    raise SamplingError(
-        f"no stable representation with dims {dims} found in {attempts} attempts"
-    )
+    return _first_valid(lambda: QuiverRep(dims, random_matrix(rng, dims.n, dims.n)),
+                        lambda V: _modp.det_nonzero(V.B) and is_simple(build_rep(V)),
+                        f"stable representation with dims {dims}")
 
 
 # -- even family: dims (k, k; k, k-1, 1), B = [[I, I], [A, I]] ----------------
@@ -171,7 +174,7 @@ def make_even_family(k: int, A: CycMatrix) -> QuiverRep:
     return QuiverRep(DimVector(k, k, k, k - 1, 1), B)
 
 
-def sample_even_matrix(rng: random.Random, k: int, attempts: int = 64) -> CycMatrix:
+def sample_even_matrix(rng: random.Random, k: int) -> CycMatrix:
     """Random symmetric A with A and A - I invertible.
 
     Symmetry makes C = (A - I)^{-1} symmetric, which is exactly the case
@@ -180,7 +183,8 @@ def sample_even_matrix(rng: random.Random, k: int, attempts: int = 64) -> CycMat
     the isomorphism is still found by the oracle).
     """
     ident = CycMatrix.identity(k)
-    for _ in range(attempts):
+
+    def draw() -> CycMatrix:
         entries = [[ZERO] * k for _ in range(k)]
         for i in range(k):
             entries[i][i] = random_cycrat(rng)
@@ -188,10 +192,10 @@ def sample_even_matrix(rng: random.Random, k: int, attempts: int = 64) -> CycMat
                 v = random_cycrat(rng)
                 entries[i][j] = v
                 entries[j][i] = v
-        A = CycMatrix(entries)
-        if _modp.det_nonzero(A) and _modp.det_nonzero(A - ident):
-            return A
-    raise SamplingError(f"no valid symmetric {k}x{k} matrix in {attempts} attempts")
+        return CycMatrix(entries)
+
+    return _first_valid(draw, lambda A: _modp.det_nonzero(A) and _modp.det_nonzero(A - ident),
+                        f"valid symmetric {k}x{k} matrix")
 
 
 def verify_even_witness(k: int, A: CycMatrix) -> WitnessReport:
@@ -261,17 +265,16 @@ def verify_even_witness(k: int, A: CycMatrix) -> WitnessReport:
 
 # -- odd family: dims (k+1, k; k, k, 1), random stable sample -----------------
 
-def make_odd_family(k: int, seed: int, attempts: int = 64) -> QuiverRep:
+def make_odd_family(k: int, seed: int) -> QuiverRep:
     """Seeded random stable representation with dimensions (k+1, k; k, k, 1).
 
     Resamples until B is invertible and the associated braid representation
-    is simple; raises SamplingError after ``attempts`` failures rather than
+    is simple; raises SamplingError after ATTEMPTS failures rather than
     silently returning a degenerate point.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    return sample_stable_rep(DimVector(k + 1, k, k, k, 1), random.Random(seed),
-                             attempts=attempts)
+    return sample_stable_rep(DimVector(k + 1, k, k, k, 1), random.Random(seed))
 
 
 def verify_odd_family(k: int, seed: int) -> WitnessReport:
@@ -322,23 +325,22 @@ def make_dim6_detecting(params) -> QuiverRep:
     return QuiverRep(DimVector(3, 3, 2, 2, 2), B)
 
 
-def sample_dim6_params(rng: random.Random, attempts: int = 64) -> tuple:
+def sample_dim6_params(rng: random.Random) -> tuple:
     """Integer parameter points giving an invertible B and a simple rep."""
-    return _sample_params(make_dim6_detecting, attempts,
+    return _sample_params(make_dim6_detecting,
                           lambda: tuple(CycRat(rng.randint(-5, 5)) for _ in range(7)))
 
 
-def _sample_params(make, attempts: int, draw) -> tuple:
+def _sample_params(make, draw) -> tuple:
     """The first drawn parameters for which ``make`` gives a simple rep."""
-    for _ in range(attempts):
-        params = draw()
+    def valid(params) -> bool:
         try:
             V = make(params)
         except SingularMatrixError:
-            continue
-        if is_simple(build_rep(V)):
-            return params
-    raise SamplingError(f"no generic parameter point in {attempts} attempts")
+            return False
+        return is_simple(build_rep(V))
+
+    return _first_valid(draw, valid, "generic parameter point")
 
 
 def verify_dim6_detection(params, rng: random.Random | None = None) -> WitnessReport:
@@ -398,8 +400,8 @@ def make_dim42_exceptional(params) -> QuiverRep:
     return QuiverRep(DimVector(4, 2, 2, 2, 2), B)
 
 
-def sample_dim42_params(rng: random.Random, attempts: int = 64) -> tuple:
-    return _sample_params(make_dim42_exceptional, attempts,
+def sample_dim42_params(rng: random.Random) -> tuple:
+    return _sample_params(make_dim42_exceptional,
                           lambda: tuple(random_cycrat(rng) for _ in range(5)))
 
 

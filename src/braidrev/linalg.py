@@ -363,10 +363,9 @@ class CycMatrix:
             raise ValueError(f"malformed matrix object: {exc}") from exc
         if type(rows) is not int or type(cols) is not int:  # bool is not a size
             raise ValueError(f"matrix rows and cols must be integers, got {rows!r}, {cols!r}")
-        if len(raw) != rows or any(len(r) != cols for r in raw):
-            raise ValueError(
-                f"entry grid does not match declared shape {rows}x{cols}"
-            )
+        if (not isinstance(raw, list) or len(raw) != rows
+                or any(not isinstance(r, list) or len(r) != cols for r in raw)):
+            raise ValueError(f"entries are not a grid of the declared shape {rows}x{cols}")
         entries = [[parse_cycrat(v) for v in row] for row in raw]
         return cls(entries) if rows and cols else cls.zeros(rows, cols)
 
@@ -516,18 +515,9 @@ def block_diag(blocks: Sequence[CycMatrix]) -> CycMatrix:
     """Block-diagonal matrix from square blocks (zero-sized blocks allowed)."""
     if not all(blk.is_square() for blk in blocks):
         raise ShapeError("block_diag needs square blocks")
-    n = sum(blk.rows for blk in blocks)
-    den = math.lcm(*(blk.den for blk in blocks))
-    re = [[0] * n for _ in range(n)]
-    rh = [[0] * n for _ in range(n)]
-    off = 0
-    for blk in blocks:
-        s = den // blk.den
-        for out, part in ((re, blk.re), (rh, blk.rh)):
-            for i, row in enumerate(part):
-                out[off + i][off:off + blk.rows] = [a * s for a in row]
-        off += blk.rows
-    return CycMatrix._from_parts(n, n, den, re, rh)
+    return block_compose([[blk if i == j else CycMatrix.zeros(blk.rows, other.rows)
+                           for j, other in enumerate(blocks)]
+                          for i, blk in enumerate(blocks)])
 
 
 def pencil_det(P: CycMatrix, Q: CycMatrix, R: CycMatrix) -> TrivariatePoly:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
 
 from . import _modp
 from .cyclotomic import CycRat
@@ -244,42 +246,17 @@ def hom_space(V: QuiverRep, W: QuiverRep) -> list:
 
 
 def _hom_space_exact(V: QuiverRep, W: QuiverRep, v_inv: CycMatrix | None = None) -> list:
-    """``hom_space`` by exact elimination of the whole system: the fallback
-    and the reference for the modular route."""
+    """``hom_space`` by exact elimination of the whole intertwiner system
+    of ``_modp._hom_system``: the fallback and the reference for the
+    modular route."""
     if V.dims != W.dims:
         raise ShapeError(f"dimension vectors differ: {V.dims} vs {W.dims}")
-    d = V.dims
-    n = d.n
     if v_inv is None:
         v_inv = V.B.inverse()
-    wb = W.B
-
-    # Column layout: M1 entries row-major, then M2 entries row-major.
-    columns = [(off + k, off + l)
-               for size, off in zip(d.source_blocks, (0, d.a))
-               for k in range(size) for l in range(size)]
-    sink = _sink_block_of(d)
-
-    # One constraint per entry of N sitting off the sink block diagonal, in
-    # Z[w]: the common denominator of W.B and V.B^{-1} does not change the
-    # kernel.  Entry (r, c) of W.B . E_kl . V.B^{-1} is W.B[r, k] V.B^{-1}[l, c].
-    w_re, w_rh, v_re, v_rh = wb.re, wb.rh, v_inv.re, v_inv.rh
-    sys_re, sys_rh = [], []
-    for r in range(n):
-        for c in range(n):
-            if sink[r] == sink[c]:
-                continue
-            pairs = [(w_re[r][k], w_rh[r][k], v_re[l][c], v_rh[l][c]) for k, l in columns]
-            sys_re.append([a * x - b * y for a, b, x, y in pairs])
-            sys_rh.append([a * y + b * x - b * y for a, b, x, y in pairs])
-    system = CycMatrix._from_parts(len(sys_re), len(columns), 1, sys_re, sys_rh)
-    return [_hom_element(d, wb, v_inv, [vec[i, 0] for i in range(len(columns))])
+    re, rh = _modp._hom_system(V.dims, W.B, v_inv)
+    system = CycMatrix._from_parts(*re.shape, 1, re.tolist(), rh.tolist())
+    return [_hom_element(V.dims, W.B, v_inv, [vec[i, 0] for i in range(system.cols)])
             for vec in system.nullspace()]
-
-
-def _sink_block_of(d: DimVector) -> list:
-    """Index of the sink block (0, 1 or 2) of each row."""
-    return [idx for idx, size in enumerate(d.sink_blocks) for _ in range(size)]
 
 
 def _hom_element(d: DimVector, wb: CycMatrix, v_inv: CycMatrix, flat: list,
@@ -297,14 +274,10 @@ def _hom_element(d: DimVector, wb: CycMatrix, v_inv: CycMatrix, flat: list,
                                    for i in range(size)]))
         pos += size * size
     prod = wb @ block_diag(m_blocks) @ v_inv
-    if check:
-        sink = _sink_block_of(d)
-        if any(a or b for r, (row_re, row_rh) in enumerate(zip(prod.re, prod.rh))
-               for c, (a, b) in enumerate(zip(row_re, row_rh)) if sink[r] != sink[c]):
-            return None
-    return GLAlphaElement(m_blocks[0], m_blocks[1],
-                          *(block_extract(prod, d.sink_blocks, d.sink_blocks, i, i)
-                            for i in range(3)))
+    n_blocks = [block_extract(prod, d.sink_blocks, d.sink_blocks, i, i) for i in range(3)]
+    if check and prod != block_diag(n_blocks):
+        return None
+    return GLAlphaElement(*m_blocks, *n_blocks)
 
 
 def _is_witness(g: GLAlphaElement, V: QuiverRep, W: QuiverRep) -> bool:
@@ -338,26 +311,21 @@ def find_isomorphism(V: QuiverRep, W: QuiverRep,
     """
     basis = hom_space(V, W)
     hom_dim = len(basis)
-    for g in basis:
+    rng = rng if rng is not None else random.Random(0)
+
+    def combinations():
+        # scaling cannot make a singular tuple invertible, so an exhausted
+        # one-dimensional hom space is a definitive negative
+        for _ in range(8 if hom_dim > 1 else 0):
+            coeffs = [CycRat(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in basis]
+            yield reduce(GLAlphaElement.add, map(GLAlphaElement.scale, basis, coeffs))
+
+    for g in chain(basis, combinations()):
         if g.is_invertible():
             if not _is_witness(g, V, W):  # pragma: no cover - guaranteed by linear algebra
                 raise AssertionError("invertible hom element is not a witness")
             return IsomorphismSearch(g, hom_dim, False)
-    if hom_dim <= 1:
-        # scaling cannot make a singular tuple invertible, so an exhausted
-        # one-dimensional hom space is a definitive negative
-        return IsomorphismSearch(None, hom_dim, False)
-    rng = rng if rng is not None else random.Random(0)
-    for _ in range(8):
-        combo = basis[0].scale(CycRat(rng.randint(-4, 4), rng.randint(-4, 4)))
-        for elt in basis[1:]:
-            c = CycRat(rng.randint(-4, 4), rng.randint(-4, 4))
-            combo = combo.add(elt.scale(c))
-        if combo.is_invertible():
-            if not _is_witness(combo, V, W):  # pragma: no cover
-                raise AssertionError("invertible hom element is not a witness")
-            return IsomorphismSearch(combo, hom_dim, False)
-    return IsomorphismSearch(None, hom_dim, True)
+    return IsomorphismSearch(None, hom_dim, hom_dim > 1)
 
 
 def are_isomorphic(V: QuiverRep, W: QuiverRep,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +205,13 @@ BOOL_COLS_QUIVER = {"dims": DimVector(1, 0, 1, 0, 0).to_obj(),
                     "B": {"rows": 1, "cols": True, "entries": [["1"]]}}
 
 
+# the 5 x 5 golden ``build`` output, and the 1 x 1 representation, for
+# which a declared size of true would equal the size
+REP_5 = json.loads((Path(__file__).resolve().parent / "golden" / "build_isom_v.stdout")
+                   .read_text(encoding="utf-8"))
+REP_1 = build_rep(QuiverRep(DimVector(1, 0, 1, 0, 0), CycMatrix([[1]]))).to_obj()
+
+
 def quiver_with(*entry, shape=None, **dims):
     """A valid 2 x 2 quiver object with B[0][1] (if given), B's declared
     (rows, cols) (if given) and some dimensions replaced."""
@@ -240,12 +248,16 @@ class TestMalformedInput:
             (["build", "--quiver", "{f}"], quiver_with(shape=(2.0, 2)), {}),
             (["build", "--quiver", "{f}"], BOOL_COLS_QUIVER, {}),
             (["build", "--quiver", "{f}"], quiver_with(shape=("2", 2)), {}),
+            (["trace", "--rep", "{f}", "--braid", "s1"], dict(REP_5, n=5.9), {}),
+            (["trace", "--rep", "{f}", "--braid", "s1"], dict(REP_5, n="5"), {}),
+            (["trace", "--rep", "{f}", "--braid", "s1"], dict(REP_1, n=True), {}),
         ],
         ids=["isom-singular-B", "build-no-B", "isom-no-B", "build-list",
              "trace-list", "bad-env-seed", "entry-float", "entry-null",
              "entry-list", "entry-zero-denominator", "entry-zero-denominator-w",
              "dims-float", "dims-bool", "dims-string", "isom-zero-dims",
-             "build-zero-dims", "rows-float", "cols-bool", "rows-string"],
+             "build-zero-dims", "rows-float", "cols-bool", "rows-string",
+             "n-float", "n-string", "n-bool"],
     )
     def test_usage_error_without_traceback(self, tmp_path, args, content, env):
         path = tmp_path / "input.json"
@@ -255,6 +267,13 @@ class TestMalformedInput:
         assert result.returncode == 2
         assert "error:" in result.stderr
         assert "Traceback" not in result.stderr
+
+    def test_build_out_missing_directory(self, tmp_path, example_quiver_file):
+        out = tmp_path / "missing" / "rep.json"
+        result = run_cli("build", "--quiver", str(example_quiver_file), "--out", str(out))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "error:" in result.stderr and "Traceback" not in result.stderr
 
 
 class TestJumpingExperimental:

@@ -26,6 +26,7 @@ from braidrev import (
     verify_odd_family,
     verify_two_dim_example,
 )
+from braidrev import families
 from braidrev.families import (
     SamplingError,
     cokernel_partition,
@@ -95,9 +96,10 @@ class TestOddFamily:
         V = make_odd_family(2, seed=64)
         assert recover_dimvector(build_rep(V)) == DimVector(3, 2, 2, 2, 1)
 
-    def test_sampling_failure_is_loud(self):
+    def test_sampling_failure_is_loud(self, monkeypatch):
+        monkeypatch.setattr(families, "ATTEMPTS", 0)
         with pytest.raises(SamplingError):
-            make_odd_family(1, seed=65, attempts=0)
+            make_odd_family(1, seed=65)
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -273,6 +273,9 @@ class TestModularHomSpace:
         assert len(basis) >= 2
         assert count.calls == 1
         assert basis == _hom_space_exact(S, T)
+        # the exact route shares its system with the modular one, so check
+        # it against a system built independently
+        assert len(basis) == hom_space_full_oracle(S, T)
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     @given(seed=st.integers(0, 10 ** 6))
