@@ -6,8 +6,8 @@ the BRAIDREV_SEED environment variable, else 0) plus the trial index, so
 identical invocations produce identical bytes.  Values are printed in the
 exact text syntax for Q(w); no decimal approximations appear anywhere.
 
-Exit codes: 0 success/consistent, 1 a mathematical check failed,
-2 usage or input errors.
+Exit codes: 0 success/consistent, 1 a mathematical check failed (a
+command's return value), 2 usage or input errors (decided in ``main``).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from . import families
 from .braid import (
     B3Rep,
     EIGHT_SEVENTEEN,
-    BraidSyntaxError,
     build_rep,
     parse_braid,
     reverse_braid,
@@ -33,6 +32,16 @@ from .quiver import DimVector, QuiverRep, find_isomorphism
 
 _USAGE_ERROR = 2
 _CHECK_FAILED = 1
+
+
+def _at_least(low: int):
+    """argparse ``type`` for an integer flag that must be at least ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+    return integer
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -48,11 +57,6 @@ def _emit(args, obj, text_lines):
             print(line)
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return _USAGE_ERROR
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -61,13 +65,13 @@ def _load_json(path: str):
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deeply") from exc
 
 
 # -- classify ------------------------------------------------------------------
 
 def cmd_classify(args) -> int:
-    if args.n < 1:
-        return _fail("--n must be at least 1")
     reports = classify_mod.enumerate_components(args.n)
     lines = [f"simple components for n = {args.n}:"]
     for rep in reports:
@@ -92,26 +96,13 @@ def _verify_trial(args, family: str, trial: int) -> "families.WitnessReport":
     if family == "dim42":
         params = families.sample_dim42_params(rng)
         return families.verify_dim42_family(params, rng)
-    # twodim
-    a = families.random_cycrat(rng)
-    while not a or a == families.ONE:
-        a = families.random_cycrat(rng)
-    return families.verify_two_dim_example(a)
+    return families.verify_two_dim_example(families.sample_twodim_param(rng))
 
 
 def cmd_verify(args) -> int:
     if args.family in ("even", "odd") and args.k is None:
-        return _fail(f"--k is required for the {args.family} family")
-    if args.k is not None and args.k < 1:
-        return _fail("--k must be at least 1")
-    if args.trials < 1:
-        return _fail("--trials must be at least 1")
-    reports = []
-    for trial in range(args.trials):
-        try:
-            reports.append(_verify_trial(args, args.family, trial))
-        except families.SamplingError as exc:
-            return _fail(str(exc))
+        raise ValueError(f"--k is required for the {args.family} family")
+    reports = [_verify_trial(args, args.family, trial) for trial in range(args.trials)]
     lines = []
     for trial, rep in enumerate(reports):
         status = "ok" if rep.isomorphic else "FAILED"
@@ -137,16 +128,11 @@ def _sample_component_rep(dims: DimVector, rng: random.Random) -> QuiverRep:
 
 
 def cmd_reversion(args) -> int:
-    try:
-        alpha = DimVector.parse(args.alpha)
-        word = parse_braid(args.braid)
-    except (ValueError, BraidSyntaxError) as exc:
-        return _fail(str(exc))
-    if args.trials < 1:
-        return _fail("--trials must be at least 1")
+    alpha = DimVector.parse(args.alpha)
+    word = parse_braid(args.braid)
     report = classify_mod.classify_component(alpha)
     if report.verdict == classify_mod.NOT_SIMPLE:
-        return _fail(f"{alpha} is not the dimension vector of a simple component")
+        raise ValueError(f"{alpha} is not the dimension vector of a simple component")
     dims = report.dims
     rev = reverse_braid(word)
     lines = [
@@ -156,11 +142,7 @@ def cmd_reversion(args) -> int:
     separated = False
     for trial in range(args.trials):
         rng = random.Random(_trial_seed(args.seed, trial))
-        try:
-            V = _sample_component_rep(dims, rng)
-        except families.SamplingError as exc:
-            return _fail(str(exc))
-        phi = build_rep(V)
+        phi = build_rep(_sample_component_rep(dims, rng))
         t_fwd = trace_of(phi, word)
         t_rev = trace_of(phi, rev)
         differs = t_fwd != t_rev
@@ -199,12 +181,9 @@ def cmd_reversion(args) -> int:
 # -- trace / isom / build ------------------------------------------------------
 
 def cmd_trace(args) -> int:
-    try:
-        rep = B3Rep.from_obj(_load_json(args.rep))
-        rep.check_relations()
-        word = parse_braid(args.braid)
-    except (ValueError, BraidSyntaxError) as exc:
-        return _fail(str(exc))
+    rep = B3Rep.from_obj(_load_json(args.rep))
+    rep.check_relations()
+    word = parse_braid(args.braid)
     value = trace_of(rep, word)
     _emit(args, {"braid": str(word), "trace": str(value)},
           [f"Tr({word or 'empty word'}) = {value}"])
@@ -212,13 +191,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_isom(args) -> int:
-    try:
-        V = QuiverRep.from_obj(_load_json(args.rep1))
-        W = QuiverRep.from_obj(_load_json(args.rep2))
-    except ValueError as exc:
-        return _fail(str(exc))
-    if V.dims != W.dims:
-        return _fail(f"dimension vectors differ: {V.dims} vs {W.dims}")
+    V = QuiverRep.from_obj(_load_json(args.rep1))
+    W = QuiverRep.from_obj(_load_json(args.rep2))
     search = find_isomorphism(V, W, random.Random(args.seed))
     lines = [f"hom-space dimension: {search.hom_dim}"]
     if search.witness is not None:
@@ -238,18 +212,14 @@ def cmd_isom(args) -> int:
 
 
 def cmd_build(args) -> int:
-    try:
-        V = QuiverRep.from_obj(_load_json(args.quiver))
-        phi = build_rep(V)
-    except ValueError as exc:
-        return _fail(str(exc))
+    phi = build_rep(QuiverRep.from_obj(_load_json(args.quiver)))
     payload = json.dumps(phi.to_obj(), indent=2, sort_keys=True)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(payload + "\n")
         except OSError as exc:
-            return _fail(f"cannot write {args.out}: {exc}")
+            raise ValueError(f"cannot write {args.out}: {exc}") from exc
         print(f"wrote representation of size {phi.n} to {args.out}")
     else:
         print(payload)
@@ -259,20 +229,12 @@ def cmd_build(args) -> int:
 # -- jumping (experimental) ----------------------------------------------------
 
 def cmd_jumping(args) -> int:
-    if args.n < 2:
-        return _fail("--n must be at least 2")
-    if args.trials < 1:
-        return _fail("--trials must be at least 1")
     dims = DimVector(2 * args.n, args.n, args.n, args.n, args.n)
     lines = [f"jumping-lines pencils for dims {dims} (experimental, no pass/fail)"]
     results = []
     for trial in range(args.trials):
         rng = random.Random(_trial_seed(args.seed, trial))
-        try:
-            B = families.random_invertible(rng, dims.n)
-        except families.SamplingError as exc:
-            return _fail(str(exc))
-        V = QuiverRep(dims, B)
+        V = QuiverRep(dims, families.random_invertible(rng, dims.n))
         p = families.jumping_pencil(V)
         q = families.jumping_pencil(families.tau_quiver(V))
         proportional = families.poly_proportional(p, q)
@@ -304,18 +266,18 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p, trials_default=10):
         p.add_argument("--seed", type=int, default=seed_default,
                        help="base seed (default: BRAIDREV_SEED or 0)")
-        p.add_argument("--trials", type=int, default=trials_default)
+        p.add_argument("--trials", type=_at_least(1), default=trials_default)
         p.add_argument("--output", choices=("text", "json"), default="text")
 
     p = sub.add_parser("classify", help="enumerate and classify components")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--output", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="verify fixed-point family identities")
     p.add_argument("--family", choices=("even", "odd", "dim42", "twodim"),
                    required=True)
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_at_least(1))
     add_common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -345,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jumping", help="experimental: print jumping-line pencils "
                                         "for dims (2n,n;n,n,n)")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=_at_least(2), default=3)
     add_common(p, trials_default=1)
     p.set_defaults(func=cmd_jumping)
 
@@ -357,6 +319,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (ValueError, families.SamplingError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _USAGE_ERROR
     except BrokenPipeError:  # pragma: no cover
         return 0
 

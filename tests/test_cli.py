@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from braidrev import CycMatrix, DimVector, QuiverRep, build_rep
+from braidrev import CycMatrix, DimVector, QuiverRep, build_rep, cli, families
 
 
 def run_cli(*args, env=None):
@@ -210,6 +210,8 @@ BOOL_COLS_QUIVER = {"dims": DimVector(1, 0, 1, 0, 0).to_obj(),
 REP_5 = json.loads((Path(__file__).resolve().parent / "golden" / "build_isom_v.stdout")
                    .read_text(encoding="utf-8"))
 REP_1 = build_rep(QuiverRep(DimVector(1, 0, 1, 0, 0), CycMatrix([[1]]))).to_obj()
+# a (4,2;2,2,2) quiver, to pair with the (1,1;1,0,1) one of quiver_with()
+QUIVER_42222 = str(Path(__file__).resolve().parent / "golden" / "isom_sum_s.json")
 
 
 def quiver_with(*entry, shape=None, **dims):
@@ -251,13 +253,21 @@ class TestMalformedInput:
             (["trace", "--rep", "{f}", "--braid", "s1"], dict(REP_5, n=5.9), {}),
             (["trace", "--rep", "{f}", "--braid", "s1"], dict(REP_5, n="5"), {}),
             (["trace", "--rep", "{f}", "--braid", "s1"], dict(REP_1, n=True), {}),
+            (["classify", "--n", "0"], None, {}),
+            (["verify", "--family", "even", "--k", "0"], None, {}),
+            (["verify", "--family", "dim42", "--trials", "0"], None, {}),
+            (["reversion", "--alpha", "2,1,1,1,1", "--trials", "0"], None, {}),
+            (["jumping", "--n", "1"], None, {}),
+            (["isom", "--rep1", "{f}", "--rep2", QUIVER_42222], quiver_with(), {}),
         ],
         ids=["isom-singular-B", "build-no-B", "isom-no-B", "build-list",
              "trace-list", "bad-env-seed", "entry-float", "entry-null",
              "entry-list", "entry-zero-denominator", "entry-zero-denominator-w",
              "dims-float", "dims-bool", "dims-string", "isom-zero-dims",
              "build-zero-dims", "rows-float", "cols-bool", "rows-string",
-             "n-float", "n-string", "n-bool"],
+             "n-float", "n-string", "n-bool", "classify-n-0", "verify-k-0",
+             "verify-trials-0", "reversion-trials-0", "jumping-n-1",
+             "isom-dims-differ"],
     )
     def test_usage_error_without_traceback(self, tmp_path, args, content, env):
         path = tmp_path / "input.json"
@@ -267,6 +277,40 @@ class TestMalformedInput:
         assert result.returncode == 2
         assert "error:" in result.stderr
         assert "Traceback" not in result.stderr
+
+    def test_deeply_nested_json(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 1000 + "]" * 1000)
+        for args in (["build", "--quiver", str(path)],
+                     ["isom", "--rep1", str(path), "--rep2", str(path)],
+                     ["trace", "--rep", str(path), "--braid", "s1"]):
+            result = run_cli(*args)
+            assert result.returncode == 2
+            assert "error:" in result.stderr and "nested too deeply" in result.stderr
+            assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify", "--family", "even", "--k", "1", "--trials", "1"],
+            ["verify", "--family", "odd", "--k", "1", "--trials", "1"],
+            ["verify", "--family", "dim42", "--trials", "1"],
+            ["verify", "--family", "twodim", "--trials", "1"],
+            ["reversion", "--alpha", "3,3,2,2,2", "--trials", "1"],
+            ["reversion", "--alpha", "2,1,1,1,1", "--trials", "1"],
+            ["jumping", "--n", "2"],
+        ],
+        ids=["even", "odd", "dim42", "twodim", "reversion-33222",
+             "reversion-21111", "jumping"],
+    )
+    def test_sampling_failure(self, monkeypatch, capsys, args):
+        # every sampler is bounded by families.ATTEMPTS, and main turns
+        # the SamplingError into a usage error
+        monkeypatch.setattr(families, "ATTEMPTS", 0)
+        assert cli.main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: no ") and err.endswith(" in 0 attempts\n")
 
     def test_build_out_missing_directory(self, tmp_path, example_quiver_file):
         out = tmp_path / "missing" / "rep.json"

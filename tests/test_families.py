@@ -224,6 +224,18 @@ class TestJumpingLines:
         assert jumping_pencil(V).degree == 3
         assert jumping_lines_check(V)
 
+    @pytest.mark.parametrize("dims", [(4, 2, 2, 2, 2), (6, 3, 3, 3, 3)],
+                             ids=["fixed-42222", "detecting-63333"])
+    def test_tau_pencil_is_the_same_pencil(self, dims):
+        # The products C_i2 B_i2 of tau(V) are the transposes of V's, and
+        # det(M^tr) = det(M): the pencils agree for any B, on detecting
+        # components too, so jumping_lines_check cannot fail.
+        V = QuiverRep(DimVector(*dims), invertible(random.Random(0), dims[0] + dims[1]))
+        W = tau_quiver(V)
+        products = [[c @ b for b, c in zip(*families._bundle_blocks(U))] for U in (V, W)]
+        assert [m.transpose() for m in products[0]] == products[1]
+        assert jumping_pencil(W) == jumping_pencil(V)
+
 
 class TestTwoDimExample:
     def test_a_two(self):
