@@ -48,9 +48,7 @@ def _embed(re, rh, p: int, rho_img: int):
 
 
 def matrix_mod(mat, p: int, rho_img: int):
-    """Image of a CycMatrix in F_p, or None if a denominator vanishes mod p."""
-    if mat.den % p == 0:
-        return None
+    """Image of a CycMatrix in F_p; p must not divide its denominator."""
     re, rh = (np.array(part, dtype=object).reshape(mat.rows, mat.cols)
               for part in (mat.re, mat.rh))
     return _embed(re, rh, p, rho_img) * pow(mat.den, -1, p) % p
@@ -158,43 +156,7 @@ def burnside_rank_mod(a1, a2, p: int) -> int | None:
                             lambda gen, mat: (gen @ mat) % p, insert, n * n)
 
 
-# -- certified hom spaces ---------------------------------------------------
-
-def _hom_system(dims, wb, v_inv) -> tuple:
-    """The intertwiner system of ``quiver.hom_space`` over Z[w], as integer
-    arrays (re, rh): int64 when every entry provably fits, Python ints
-    otherwise.
-
-    One row per sink entry (r, c) off the block diagonal, in row-major
-    order; one column per entry (k, l) of M1 then of M2.  The coefficient
-    is W.B[r, k] * V.B^{-1}[l, c], entry (r, c) of W.B . E_kl . V.B^{-1},
-    times both denominators, which does not change the kernel.
-    """
-    sink = np.repeat(np.arange(3), dims.sink_blocks)
-    rows, cols = np.nonzero(sink[:, None] != sink[None, :])
-    parts = (wb.re, wb.rh, v_inv.re, v_inv.rh)
-    w_height, v_height = (max(abs(x) for part in pair for row in part for x in row)
-                          for pair in (parts[:2], parts[2:]))
-    dtype = np.int64 if 3 * w_height * v_height < 2 ** 62 else object
-    w_re, w_rh, v_re, v_rh = (np.array(part, dtype=dtype).reshape(dims.n, dims.n)
-                              for part in parts)
-    re = np.empty((len(rows), dims.a ** 2 + dims.b ** 2), dtype=dtype)
-    rh = np.empty_like(re)
-    at = 0
-    for start, size in zip((0, dims.a), dims.source_blocks):
-        block, span = slice(start, start + size), slice(at, at + size * size)
-        at += size * size
-
-        def outer(w, v):
-            return (w[rows, block][:, :, None] * v[block, cols].T[:, None, :]
-                    ).reshape(len(rows), size * size)
-
-        # (a + b*w)(x + y*w) = (ax - by) + (ay + bx - by)*w, as w^2 = -1 - w
-        by = outer(w_rh, v_rh)
-        re[:, span] = outer(w_re, v_re) - by
-        rh[:, span] = outer(w_re, v_rh) + outer(w_rh, v_re) - by
-    return re, rh
-
+# -- certified kernels --------------------------------------------------------
 
 def _wang(u: int, m: int, bound: int):
     """The fraction n/d = u (mod m) with |n|, d <= bound, or None
@@ -241,7 +203,7 @@ def _hadamard(re, rh) -> int:
     return bound
 
 
-def _lift(block, rhs, p: int, rho: int, accept):
+def _lift(block, rhs, p: int, rho: int):
     """Dixon lifting (Dixon 1982) of the square Z[w] system block . x = rhs,
     both given as integer arrays (re, rh), at one prime p = 1 (mod 3).
 
@@ -251,17 +213,17 @@ def _lift(block, rhs, p: int, rho: int, accept):
     updates r <- (r - block . digit) / p exactly; r stays int64 while
     2 * n * height * (p + 1) + |rhs| < 2^62 proves that safe, and is held
     in Python ints otherwise.  After each step the rational parts of x are
-    rebuilt from x mod p^k and passed to ``accept``, whose first non-None
-    result is returned.  By Cramer's rule and the Hadamard bound h on the
-    block and rhs, every numerator is at most (2/sqrt(3)) * h and every
-    denominator divides N(det) <= h, so once p^k exceeds 8/3 * h^2 the
-    reconstruction is the exact solution; None if ``accept`` has refused
-    it by then, or if the block is singular mod p.
+    rebuilt from x mod p^k and yielded as (numerator, denominator) pairs,
+    real parts first, whenever they reconstruct.  By Cramer's rule and the
+    Hadamard bound h on the block and rhs, every numerator is at most
+    (2/sqrt(3)) * h and every denominator divides N(det) <= h, so once p^k
+    exceeds 8/3 * h^2 the reconstruction is the exact solution and the
+    lifting stops.  Nothing is yielded if the block is singular mod p.
     """
     rho2 = rho * rho % p
     invs = [_inverse_mod(_embed(*block, p, r), p) for r in (rho, rho2)]
     if invs[0] is None or invs[1] is None:
-        return None
+        return
     h = _hadamard(*block) * _hadamard(rhs[0][:, None], rhs[1][:, None])
     need = (4 * h * h + 2) // 3
     n = len(rhs[0])
@@ -287,35 +249,32 @@ def _lift(block, rhs, p: int, rho: int, accept):
         r_rh = (r_rh - a_re @ b - a_rh @ (a - b)) // p
         values = _reconstruct(acc.tolist(), modulus)
         if values is not None:
-            result = accept(values)
-            if result is not None:
-                return result
+            yield values
         if (modulus - 1) // 2 >= need:
-            return None
+            return
 
 
-def hom_kernel(dims, wb, v_inv, certify):
-    """Certified basis of the hom space V -> W of nullity at most one, from
-    ``dims``, W.B and the exact V.B^{-1}.
+def hom_kernel(re, rh, certify):
+    """Certified kernel of nullity at most one of the Z[w] matrix re + rh*w,
+    given as integer arrays.
 
-    The Z[w] intertwiner system is built once, as integers, and reduced mod
-    a prime p = 1 (mod 3) under w -> rho.  A nullity of 0 mod p certifies
-    an empty hom space.  For a nullity of 1, the free column is the last
-    nonzero coordinate of the kernel vector mod p; setting it to 1 and
-    keeping the rows of the pivots leaves a square system, invertible mod
-    p, whose solution is lifted p-adically (``_lift``).  ``certify(entries)``
-    checks a candidate exactly and returns its hom element or None.  A
-    passing candidate certifies the hom space: 1 <= exact nullity <=
-    nullity mod p = 1.  With a 1 at its free column and zeros after it, the
-    kernel vector is the one the exact reduced echelon form yields.
+    The matrix is reduced mod a prime p = 1 (mod 3) under w -> rho.  A
+    nullity of 0 mod p certifies an empty kernel.  For a nullity of 1, the
+    free column is the last nonzero coordinate of the kernel vector mod p;
+    setting it to 1 and keeping the rows of the pivots leaves a square
+    system, invertible mod p, whose solution is lifted p-adically
+    (``_lift``).  ``certify(vec)`` checks a candidate kernel vector exactly
+    and returns what the caller builds from it, or None.  A passing
+    candidate certifies the kernel: 1 <= exact nullity <= nullity mod p = 1.
+    With a 1 at its free column and zeros after it, the kernel vector is
+    the one the exact reduced echelon form yields.
 
-    Returns [] or [element] when certified; None (not certified) when the
-    nullity mod p is above 1, or when neither of two primes certifies.
+    Returns [] or [certify(vec)] when certified; None (not certified) when
+    the nullity mod p is above 1, or when neither of two primes certifies.
     """
-    cols = dims.a ** 2 + dims.b ** 2
+    cols = re.shape[1]
     if not within_headroom(cols):
         return None
-    re, rh = _hom_system(dims, wb, v_inv)
     for p, rho in PRIMES[:2]:
         order = list(range(len(re)))
         pivots = _rref_mod(_embed(re, rh, p, rho), p, order)
@@ -326,17 +285,15 @@ def hom_kernel(dims, wb, v_inv, certify):
         (free,) = set(range(cols)).difference(pivots)
         rows = order[:cols - 1]
         keep = [c for c in range(cols) if c != free]
-
-        def accept(values, free=free):
+        for values in _lift((re[np.ix_(rows, keep)], rh[np.ix_(rows, keep)]),
+                            (-re[rows, free], -rh[rows, free]), p, rho):
             half = len(values) // 2
             vec = [CycRat(Rational(*values[i]), Rational(*values[half + i]))
                    for i in range(half)]
             vec.insert(free, CycRat(1))
             # The exact kernel vector has a 1 at the free column and zeros after it.
-            return None if any(vec[free + 1:]) else certify(vec)
-
-        result = _lift((re[np.ix_(rows, keep)], rh[np.ix_(rows, keep)]),
-                       (-re[rows, free], -rh[rows, free]), p, rho, accept)
-        if result is not None:
-            return [result]
+            if not any(vec[free + 1:]):
+                result = certify(vec)
+                if result is not None:
+                    return [result]
     return None

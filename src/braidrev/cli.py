@@ -102,6 +102,8 @@ def _verify_trial(args, family: str, trial: int) -> "families.WitnessReport":
 def cmd_verify(args) -> int:
     if args.family in ("even", "odd") and args.k is None:
         raise ValueError(f"--k is required for the {args.family} family")
+    if args.family in ("dim42", "twodim") and args.k is not None:
+        raise ValueError(f"--k does not apply to the {args.family} family")
     reports = [_verify_trial(args, args.family, trial) for trial in range(args.trials)]
     lines = []
     for trial, rep in enumerate(reports):
@@ -283,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reversion", help="trace separation of a word vs its reverse")
     p.add_argument("--alpha", required=True, metavar="a,b,x,y,z")
-    p.add_argument("--braid", default="s1^-2 s2 s1^-1 s2 s1^-1 s2^2")
+    p.add_argument("--braid", default=str(EIGHT_SEVENTEEN))
     add_common(p)
     p.set_defaults(func=cmd_reversion)
 

@@ -20,6 +20,7 @@ from .linalg import (
     CycMatrix,
     ShapeError,
     SingularMatrixError,
+    _as_cycrat,
     block_compose,
     block_diag,
     block_extract,
@@ -310,7 +311,7 @@ def make_dim6_detecting(params) -> QuiverRep:
     ``params`` supplies the seven free entries (a, b, c, d, e, f, g) of
     the 6x6 base-change matrix below; the remaining entries are fixed.
     """
-    a, b, c, d, e, f, g = [_as_cyc(p) for p in _expect(params, 7)]
+    a, b, c, d, e, f, g = [_as_cycrat(p) for p in _expect(params, 7)]
     one, zero = ONE, ZERO
     B = CycMatrix(
         [
@@ -385,7 +386,7 @@ def make_dim42_exceptional(params) -> QuiverRep:
     ``params`` supplies the five free entries (a, b, c, d, e) of the 6x6
     base-change matrix below.
     """
-    a, b, c, d, e = [_as_cyc(p) for p in _expect(params, 5)]
+    a, b, c, d, e = [_as_cycrat(p) for p in _expect(params, 5)]
     one, zero = ONE, ZERO
     B = CycMatrix(
         [
@@ -486,7 +487,7 @@ def verify_two_dim_example(a) -> WitnessReport:
     Checks (B^{-1})^tr = diag(1, -1/a) . B . diag(1/(1-a), -a/(1-a)) and
     the group action, multiplied out.  Requires a not in {0, 1}.
     """
-    a = _as_cyc(a)
+    a = _as_cycrat(a)
     if a == ONE or not a:
         raise ValueError("parameter must avoid 0 and 1")
     one = ONE
@@ -525,7 +526,3 @@ def _expect(params, count: int):
     if len(params) != count:
         raise ValueError(f"expected {count} parameters, got {len(params)}")
     return params
-
-
-def _as_cyc(p) -> CycRat:
-    return p if isinstance(p, CycRat) else CycRat(p)

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 
+import numpy as np
+
 from . import _modp
 from .cyclotomic import CycRat
 from .linalg import (
@@ -238,8 +240,8 @@ def hom_space(V: QuiverRep, W: QuiverRep) -> list:
     if V.dims != W.dims:
         raise ShapeError(f"dimension vectors differ: {V.dims} vs {W.dims}")
     v_inv = V.B.inverse()
-    basis = _modp.hom_kernel(
-        V.dims, W.B, v_inv, lambda flat: _hom_element(V.dims, W.B, v_inv, flat, check=True))
+    basis = _modp.hom_kernel(*_hom_system(V.dims, W.B, v_inv),
+                             lambda flat: _hom_element(V.dims, W.B, v_inv, flat, check=True))
     if basis is None:
         basis = _hom_space_exact(V, W, v_inv)
     return basis
@@ -247,16 +249,52 @@ def hom_space(V: QuiverRep, W: QuiverRep) -> list:
 
 def _hom_space_exact(V: QuiverRep, W: QuiverRep, v_inv: CycMatrix | None = None) -> list:
     """``hom_space`` by exact elimination of the whole intertwiner system
-    of ``_modp._hom_system``: the fallback and the reference for the
-    modular route."""
+    of ``_hom_system``: the fallback and the reference for the modular
+    route."""
     if V.dims != W.dims:
         raise ShapeError(f"dimension vectors differ: {V.dims} vs {W.dims}")
     if v_inv is None:
         v_inv = V.B.inverse()
-    re, rh = _modp._hom_system(V.dims, W.B, v_inv)
+    re, rh = _hom_system(V.dims, W.B, v_inv)
     system = CycMatrix._from_parts(*re.shape, 1, re.tolist(), rh.tolist())
     return [_hom_element(V.dims, W.B, v_inv, [vec[i, 0] for i in range(system.cols)])
             for vec in system.nullspace()]
+
+
+def _hom_system(dims, wb, v_inv) -> tuple:
+    """The intertwiner system of ``hom_space`` over Z[w], as integer arrays
+    (re, rh): int64 when every entry provably fits, Python ints otherwise.
+
+    One row per sink entry (r, c) off the block diagonal, in row-major
+    order; one column per entry (k, l) of M1 then of M2, the layout
+    ``_hom_element`` reads back.  The coefficient is W.B[r, k] *
+    V.B^{-1}[l, c], entry (r, c) of W.B . E_kl . V.B^{-1}, times both
+    denominators, which does not change the kernel.
+    """
+    sink = np.repeat(np.arange(3), dims.sink_blocks)
+    rows, cols = np.nonzero(sink[:, None] != sink[None, :])
+    parts = (wb.re, wb.rh, v_inv.re, v_inv.rh)
+    w_height, v_height = (max(abs(x) for part in pair for row in part for x in row)
+                          for pair in (parts[:2], parts[2:]))
+    dtype = np.int64 if 3 * w_height * v_height < 2 ** 62 else object
+    w_re, w_rh, v_re, v_rh = (np.array(part, dtype=dtype).reshape(dims.n, dims.n)
+                              for part in parts)
+    re = np.empty((len(rows), dims.a ** 2 + dims.b ** 2), dtype=dtype)
+    rh = np.empty_like(re)
+    at = 0
+    for start, size in zip((0, dims.a), dims.source_blocks):
+        block, span = slice(start, start + size), slice(at, at + size * size)
+        at += size * size
+
+        def outer(w, v):
+            return (w[rows, block][:, :, None] * v[block, cols].T[:, None, :]
+                    ).reshape(len(rows), size * size)
+
+        # (a + b*w)(x + y*w) = (ax - by) + (ay + bx - by)*w, as w^2 = -1 - w
+        by = outer(w_rh, v_rh)
+        re[:, span] = outer(w_re, v_re) - by
+        rh[:, span] = outer(w_re, v_rh) + outer(w_rh, v_re) - by
+    return re, rh
 
 
 def _hom_element(d: DimVector, wb: CycMatrix, v_inv: CycMatrix, flat: list,

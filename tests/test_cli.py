@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -6,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from braidrev import CycMatrix, DimVector, QuiverRep, build_rep, cli, families
+from braidrev import CycMatrix, CycRat, DimVector, QuiverRep, build_rep, cli, families
+from conftest import stable_rep
+from test_quiver import direct_sum
 
 
 def run_cli(*args, env=None):
@@ -139,6 +142,24 @@ class TestReversion:
             == 2
         )
 
+    @pytest.mark.parametrize(
+        "alpha,separates,message",
+        [
+            ("2,1,1,1,1", True, "INCONSISTENT: separation observed on a fixed component"),
+            ("3,3,2,2,2", False, "INCONSISTENT: the detection braid failed to separate"),
+        ],
+        ids=["fixed-separates", "detecting-equal"],
+    )
+    def test_inconsistent(self, monkeypatch, capsys, alpha, separates, message):
+        # traces that all differ, or all agree, contradict the verdict
+        count = itertools.count()
+        monkeypatch.setattr(cli, "trace_of",
+                            lambda phi, word: CycRat(next(count) if separates else 0))
+        assert cli.main(["reversion", "--alpha", alpha, "--trials", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1] == message
+        assert err == ""
+
 
 class TestFileCommands:
     def test_build(self, example_quiver_file):
@@ -180,6 +201,32 @@ class TestFileCommands:
         )
         payload = json.loads(result.stdout)
         assert payload["hom_dim"] == 1 and payload["witness"] is not None
+
+    def isom(self, tmp_path, capsys, V, W):
+        paths = [tmp_path / "v.json", tmp_path / "w.json"]
+        for path, rep in zip(paths, (V, W)):
+            path.write_text(json.dumps(rep.to_obj()))
+        code = cli.main(["isom", "--rep1", str(paths[0]), "--rep2", str(paths[1]),
+                         "--seed", "0"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        return out.splitlines()
+
+    def test_isom_not_isomorphic(self, tmp_path, capsys):
+        V, W = (stable_rep((2, 1, 1, 1, 1), seed) for seed in (1, 2))
+        assert self.isom(tmp_path, capsys, V, W) == [
+            "hom-space dimension: 0",
+            "not isomorphic: no invertible intertwiner exists"]
+
+    def test_isom_inconclusive(self, tmp_path, capsys):
+        # U + U + X and U + U + Y with X, Y not isomorphic: every morphism
+        # vanishes on X, so none of the 4-dimensional hom space is invertible
+        U = QuiverRep(DimVector(1, 0, 1, 0, 0), CycMatrix([[1]]))
+        S, T = (direct_sum(direct_sum(U, U), stable_rep((2, 1, 1, 1, 1), seed))
+                for seed in (1, 2))
+        assert self.isom(tmp_path, capsys, S, T) == [
+            "hom-space dimension: 4",
+            "inconclusive-nonstable: nonzero hom space, no invertible element found"]
 
     def test_malformed_file(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -256,6 +303,8 @@ class TestMalformedInput:
             (["classify", "--n", "0"], None, {}),
             (["verify", "--family", "even", "--k", "0"], None, {}),
             (["verify", "--family", "dim42", "--trials", "0"], None, {}),
+            (["verify", "--family", "dim42", "--k", "5", "--trials", "1"], None, {}),
+            (["verify", "--family", "twodim", "--k", "5", "--trials", "1"], None, {}),
             (["reversion", "--alpha", "2,1,1,1,1", "--trials", "0"], None, {}),
             (["jumping", "--n", "1"], None, {}),
             (["isom", "--rep1", "{f}", "--rep2", QUIVER_42222], quiver_with(), {}),
@@ -266,7 +315,8 @@ class TestMalformedInput:
              "dims-float", "dims-bool", "dims-string", "isom-zero-dims",
              "build-zero-dims", "rows-float", "cols-bool", "rows-string",
              "n-float", "n-string", "n-bool", "classify-n-0", "verify-k-0",
-             "verify-trials-0", "reversion-trials-0", "jumping-n-1",
+             "verify-trials-0", "verify-dim42-k", "verify-twodim-k",
+             "reversion-trials-0", "jumping-n-1",
              "isom-dims-differ"],
     )
     def test_usage_error_without_traceback(self, tmp_path, args, content, env):

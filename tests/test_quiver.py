@@ -297,9 +297,9 @@ class TestModularHomSpace:
         lifted = []
         lift = _modp._lift
 
-        def spy(block, rhs, p, rho, accept):
+        def spy(block, rhs, p, rho):
             lifted.append((block[0].dtype, max(abs(int(x)) for x in block[0].ravel())))
-            return lift(block, rhs, p, rho, accept)
+            return lift(block, rhs, p, rho)
 
         monkeypatch.setattr(_modp, "_lift", spy)
         with counting_nullspace() as count:
@@ -329,11 +329,11 @@ class TestModularHomSpace:
         lifted = []
         lift = _modp._lift
 
-        def spy(block, rhs, p, rho, accept):
+        def spy(block, rhs, p, rho):
             images = [_modp._inverse_mod(_modp._embed(*block, p, r), p)
                       for r in (rho, rho * rho % p)]
             lifted.append((p, [inv is None for inv in images]))
-            return lift(block, rhs, p, rho, accept)
+            return lift(block, rhs, p, rho)
 
         monkeypatch.setattr(_modp, "PRIMES", (small, table))
         monkeypatch.setattr(_modp, "_lift", spy)
