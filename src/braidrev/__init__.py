@@ -33,7 +33,6 @@ from .quiver import (
     IsomorphismSearch,
     QuiverRep,
     act,
-    are_isomorphic,
     find_isomorphism,
     hom_space,
     is_simple_dimvector,

@@ -40,15 +40,24 @@ NOT_SIMPLE = "not_simple_component"
 
 @dataclass(frozen=True)
 class ComponentReport:
-    """Classification of one component: its normalized dimension vector,
-    simplicity, dimension (None when no simple representations exist),
-    and the involution verdict."""
+    """Classification of one component: its normalized dimension vector
+    and the involution verdict, from which its size, simplicity and
+    dimension (None when no simple representations exist) follow."""
 
     dims: DimVector
-    n: int
-    simple: bool
-    component_dim: int | None
     verdict: str
+
+    @property
+    def n(self) -> int:
+        return self.dims.n
+
+    @property
+    def simple(self) -> bool:
+        return self.verdict != NOT_SIMPLE
+
+    @property
+    def component_dim(self) -> int | None:
+        return component_dimension(self.dims) if self.simple else None
 
     def to_obj(self) -> dict:
         return {
@@ -119,11 +128,9 @@ def detecting_rule(d: DimVector) -> bool:
 
 def classify_component(d: DimVector) -> ComponentReport:
     nd = normalize(d)
-    simple = is_simple_dimvector(nd)
-    if not simple:
-        return ComponentReport(nd, nd.n, False, None, NOT_SIMPLE)
-    verdict = FIXED if is_fixed_dimvector(nd) else DETECTING
-    return ComponentReport(nd, nd.n, True, component_dimension(nd), verdict)
+    if not is_simple_dimvector(nd):
+        return ComponentReport(nd, NOT_SIMPLE)
+    return ComponentReport(nd, FIXED if is_fixed_dimvector(nd) else DETECTING)
 
 
 def enumerate_components(n: int) -> list:
@@ -139,9 +146,8 @@ def enumerate_components(n: int) -> list:
                 z = n - x - y
                 if x != max(x, y, z):
                     continue
-                d = DimVector(a, b, x, y, z)
-                if not is_simple_dimvector(d):
-                    continue
-                out.append(classify_component(d))
-    out.sort(key=lambda rep: (rep.dims.a, rep.dims.b, rep.dims.x, rep.dims.y, rep.dims.z))
+                rep = classify_component(DimVector(a, b, x, y, z))
+                if rep.simple:
+                    out.append(rep)
+    out.sort(key=lambda rep: rep.dims)
     return out

@@ -28,7 +28,8 @@ from .braid import (
     reverse_braid,
     trace_of,
 )
-from .quiver import DimVector, QuiverRep, find_isomorphism
+from .cyclotomic import poly_proportional
+from .quiver import DimVector, QuiverRep, find_isomorphism, tau_quiver
 
 _USAGE_ERROR = 2
 _CHECK_FAILED = 1
@@ -45,7 +46,7 @@ def _at_least(low: int):
 
 
 def _trial_seed(seed: int, trial: int) -> int:
-    # Sequential per-seed derivation keeps output independent of parallelism.
+    # Copied by exactbench/workloads.trial_seed: changing it changes what the benchmark measures.
     return (seed * 1_000_003 + trial) & ((1 << 63) - 1)
 
 
@@ -86,14 +87,14 @@ def cmd_classify(args) -> int:
 
 # -- verify --------------------------------------------------------------------
 
-def _verify_trial(args, family: str, trial: int) -> "families.WitnessReport":
+def _verify_trial(args, trial: int) -> "families.WitnessReport":
     rng = random.Random(_trial_seed(args.seed, trial))
-    if family == "even":
+    if args.family == "even":
         A = families.sample_even_matrix(rng, args.k)
         return families.verify_even_witness(args.k, A)
-    if family == "odd":
+    if args.family == "odd":
         return families.verify_odd_family(args.k, _trial_seed(args.seed, trial))
-    if family == "dim42":
+    if args.family == "dim42":
         params = families.sample_dim42_params(rng)
         return families.verify_dim42_family(params, rng)
     return families.verify_two_dim_example(families.sample_twodim_param(rng))
@@ -104,7 +105,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--k is required for the {args.family} family")
     if args.family in ("dim42", "twodim") and args.k is not None:
         raise ValueError(f"--k does not apply to the {args.family} family")
-    reports = [_verify_trial(args, args.family, trial) for trial in range(args.trials)]
+    reports = [_verify_trial(args, trial) for trial in range(args.trials)]
     lines = []
     for trial, rep in enumerate(reports):
         status = "ok" if rep.isomorphic else "FAILED"
@@ -238,8 +239,8 @@ def cmd_jumping(args) -> int:
         rng = random.Random(_trial_seed(args.seed, trial))
         V = QuiverRep(dims, families.random_invertible(rng, dims.n))
         p = families.jumping_pencil(V)
-        q = families.jumping_pencil(families.tau_quiver(V))
-        proportional = families.poly_proportional(p, q)
+        q = families.jumping_pencil(tau_quiver(V))
+        proportional = poly_proportional(p, q)
         results.append({"trial": trial, "pencil": str(p), "tau_pencil": str(q),
                         "proportional": proportional})
         lines.append(f"trial {trial}: pencil      {p}")

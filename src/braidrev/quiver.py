@@ -39,7 +39,6 @@ __all__ = [
     "tau_quiver",
     "hom_space",
     "find_isomorphism",
-    "are_isomorphic",
 ]
 
 
@@ -199,11 +198,6 @@ class GLAlphaElement:
         return {name: blk.to_obj() for name, blk in
                 zip(("M1", "M2", "N1", "N2", "N3"), self.blocks())}
 
-    @classmethod
-    def from_obj(cls, obj: dict) -> "GLAlphaElement":
-        return cls(*(CycMatrix.from_obj(obj[name])
-                     for name in ("M1", "M2", "N1", "N2", "N3")))
-
 
 def act(g: GLAlphaElement, V: QuiverRep) -> QuiverRep:
     """Base-change action: B -> diag(N1,N2,N3) . B . diag(M1,M2)^{-1}."""
@@ -232,33 +226,37 @@ def hom_space(V: QuiverRep, W: QuiverRep) -> list:
     linear condition on the entries of (M1, M2).  The returned basis is
     deterministic (reduced echelon form of that condition).
 
-    Hom spaces of dimension 0 or 1 are found by p-adic lifting at one
-    prime and certified exactly (``_modp.hom_kernel``); any other case, or
-    one the lifting cannot certify, is solved by exact elimination
-    (``_hom_space_exact``).  The basis is the same either way.
+    The intertwiner system (``_hom_system``) is built once.  Hom spaces of
+    dimension 0 or 1 are found by p-adic lifting at one prime and
+    certified exactly (``_modp.hom_kernel``); any other case, or one the
+    lifting cannot certify, is solved by exact elimination of the same
+    system.  The basis is the same either way.
     """
+    re, rh, element = _hom_setup(V, W)
+    basis = _modp.hom_kernel(re, rh, element)
+    return _exact_kernel(re, rh, element) if basis is None else basis
+
+
+def _hom_space_exact(V: QuiverRep, W: QuiverRep) -> list:
+    """``hom_space`` by exact elimination alone: the reference for the
+    modular route."""
+    return _exact_kernel(*_hom_setup(V, W))
+
+
+def _hom_setup(V: QuiverRep, W: QuiverRep) -> tuple:
+    """The intertwiner system (re, rh) of V -> W (``_hom_system``), and the
+    function that reads a solution back as a morphism (``_hom_element``)."""
     if V.dims != W.dims:
         raise ShapeError(f"dimension vectors differ: {V.dims} vs {W.dims}")
     v_inv = V.B.inverse()
-    basis = _modp.hom_kernel(*_hom_system(V.dims, W.B, v_inv),
-                             lambda flat: _hom_element(V.dims, W.B, v_inv, flat, check=True))
-    if basis is None:
-        basis = _hom_space_exact(V, W, v_inv)
-    return basis
+    return (*_hom_system(V.dims, W.B, v_inv),
+            lambda flat: _hom_element(V.dims, W.B, v_inv, flat))
 
 
-def _hom_space_exact(V: QuiverRep, W: QuiverRep, v_inv: CycMatrix | None = None) -> list:
-    """``hom_space`` by exact elimination of the whole intertwiner system
-    of ``_hom_system``: the fallback and the reference for the modular
-    route."""
-    if V.dims != W.dims:
-        raise ShapeError(f"dimension vectors differ: {V.dims} vs {W.dims}")
-    if v_inv is None:
-        v_inv = V.B.inverse()
-    re, rh = _hom_system(V.dims, W.B, v_inv)
-    system = CycMatrix._from_parts(*re.shape, 1, re.tolist(), rh.tolist())
-    return [_hom_element(V.dims, W.B, v_inv, [vec[i, 0] for i in range(system.cols)])
-            for vec in system.nullspace()]
+def _exact_kernel(re, rh, element) -> list:
+    """``element`` of each exact reduced echelon kernel vector of re + rh*w."""
+    mat = CycMatrix._from_parts(*re.shape, 1, re.tolist(), rh.tolist())
+    return [element([v for (v,) in vec.entries]) for vec in mat.nullspace()]
 
 
 def _hom_system(dims, wb, v_inv) -> tuple:
@@ -297,13 +295,13 @@ def _hom_system(dims, wb, v_inv) -> tuple:
     return re, rh
 
 
-def _hom_element(d: DimVector, wb: CycMatrix, v_inv: CycMatrix, flat: list,
-                 check: bool = False) -> GLAlphaElement | None:
+def _hom_element(d: DimVector, wb: CycMatrix, v_inv: CycMatrix,
+                 flat: list) -> GLAlphaElement | None:
     """The morphism with source blocks read from ``flat`` (M1 then M2, each
     row-major) and sink blocks from N = W.B . diag(M) . V.B^{-1}.
 
-    With ``check``, None unless N is exactly block diagonal: that is the
-    whole intertwiner system applied to ``flat``.
+    None unless N is exactly block diagonal: that is the whole intertwiner
+    system applied to ``flat``, and the certificate ``hom_kernel`` needs.
     """
     m_blocks = []
     pos = 0
@@ -313,7 +311,7 @@ def _hom_element(d: DimVector, wb: CycMatrix, v_inv: CycMatrix, flat: list,
         pos += size * size
     prod = wb @ block_diag(m_blocks) @ v_inv
     n_blocks = [block_extract(prod, d.sink_blocks, d.sink_blocks, i, i) for i in range(3)]
-    if check and prod != block_diag(n_blocks):
+    if prod != block_diag(n_blocks):
         return None
     return GLAlphaElement(*m_blocks, *n_blocks)
 
@@ -327,12 +325,15 @@ def _is_witness(g: GLAlphaElement, V: QuiverRep, W: QuiverRep) -> bool:
 @dataclass(frozen=True)
 class IsomorphismSearch:
     """Outcome of a witness search: the witness (if any), the dimension of
-    the hom space, and whether a nonzero hom space defeated the search
-    (possible only for non-stable representations)."""
+    the hom space, and whether the search is inconclusive: no witness in a
+    hom space of dimension above 1 (possible only for non-stable ones)."""
 
     witness: GLAlphaElement | None
     hom_dim: int
-    inconclusive: bool
+
+    @property
+    def inconclusive(self) -> bool:
+        return self.witness is None and self.hom_dim > 1
 
 
 def find_isomorphism(V: QuiverRep, W: QuiverRep,
@@ -362,15 +363,5 @@ def find_isomorphism(V: QuiverRep, W: QuiverRep,
         if g.is_invertible():
             if not _is_witness(g, V, W):  # pragma: no cover - guaranteed by linear algebra
                 raise AssertionError("invertible hom element is not a witness")
-            return IsomorphismSearch(g, hom_dim, False)
-    return IsomorphismSearch(None, hom_dim, hom_dim > 1)
-
-
-def are_isomorphic(V: QuiverRep, W: QuiverRep,
-                   rng: random.Random | None = None) -> GLAlphaElement | None:
-    """Witness g with act(g, V) == W, or None.
-
-    Exact for stable representations.  For non-stable ones a None answer
-    can be inconclusive; use find_isomorphism to see the flag.
-    """
-    return find_isomorphism(V, W, rng).witness
+            return IsomorphismSearch(g, hom_dim)
+    return IsomorphismSearch(None, hom_dim)

@@ -83,6 +83,16 @@ class TestClassify:
         assert report.verdict == NOT_SIMPLE
         assert report.component_dim is None
 
+    @pytest.mark.parametrize("vec", [(4, 2, 2, 2, 2), (3, 3, 2, 2, 2), (2, 2, 2, 2, 0)])
+    def test_fields_follow_dims_and_verdict(self, vec):
+        report = classify_component(dv(*vec))
+        simple = is_simple_dimvector(report.dims)
+        assert report.n == sum(vec[:2]) and report.simple is simple
+        assert report.component_dim == (component_dimension(report.dims) if simple else None)
+        assert report.to_obj() == {"dims": report.dims.to_obj(), "n": report.n,
+                                   "simple": simple, "component_dim": report.component_dim,
+                                   "verdict": report.verdict}
+
 
 EXPECTED_FIXED = {
     1: {(1, 0, 1, 0, 0)},

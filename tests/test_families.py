@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -178,9 +179,9 @@ class TestDim42Exceptional:
 
     def test_oracle_isomorphism(self):
         V = make_dim42_exceptional(self.PARAMS)
-        from braidrev import are_isomorphic
+        from braidrev import find_isomorphism
 
-        assert are_isomorphic(V, tau_quiver(V)) is not None
+        assert find_isomorphism(V, tau_quiver(V)).witness is not None
 
     def test_recover_round_trip(self):
         V = make_dim42_exceptional(self.PARAMS)
@@ -265,3 +266,13 @@ class TestWitnessReportJson:
         assert all(set(item) == {"name", "ok"} for item in obj["identities"])
         assert obj["traces"] is None
         assert obj["family"]["kind"] == "even_k"
+
+    def test_isomorphic_is_derived(self):
+        report = verify_even_witness(1, CycMatrix([[2]]))
+        assert report.isomorphic
+        (name, _), *rest = report.identities_checked
+        one_failure = replace(report, identities_checked=[(name, False), *rest])
+        no_witness = replace(report, witness=None)
+        assert all(ok for _, ok in no_witness.identities_checked)
+        assert not one_failure.isomorphic and not no_witness.isomorphic
+        assert one_failure.to_obj()["isomorphic"] is False

@@ -8,10 +8,10 @@ from braidrev import (
     CycRat,
     DimVector,
     GLAlphaElement,
+    IsomorphismSearch,
     QuiverRep,
     ShapeError,
     act,
-    are_isomorphic,
     build_rep,
     find_isomorphism,
     hom_space,
@@ -311,14 +311,33 @@ class TestModularHomSpace:
         assert basis == _hom_space_exact(V, W)
 
     @pytest.mark.parametrize("k", [7, 11])
-    def test_large_odd_points_certify(self, k, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("exact fallback taken")
-
-        monkeypatch.setattr(quiver, "_hom_space_exact", refuse)
+    def test_large_odd_points_certify(self, k):
         V = make_odd_family(k, 1)
-        (g,) = hom_space(tau_quiver(V), V)
+        with counting_nullspace() as count:
+            (g,) = hom_space(tau_quiver(V), V)
+        assert count.calls == 0
         assert g.is_invertible()
+
+    def test_system_built_once_on_both_routes(self, monkeypatch):
+        # a stable pair takes the modular route; a direct sum of a point
+        # with itself (hom dimension 4) falls back to exact elimination,
+        # which reuses the system the modular route was given
+        V = stable_rep((2, 1, 1, 1, 1), 3)
+        S = direct_sum(V, V)
+        T = act(random_group_element(S.dims, random.Random(4)), S)
+        system = quiver._hom_system
+        calls = []
+
+        def spy(*args):
+            calls.append(args[0])
+            return system(*args)
+
+        monkeypatch.setattr(quiver, "_hom_system", spy)
+        for pair, nullspaces, dim in (((tau_quiver(V), V), 0, 1), ((S, T), 1, 4)):
+            calls.clear()
+            with counting_nullspace() as count:
+                basis = hom_space(*pair)
+            assert (calls, count.calls, len(basis)) == ([pair[0].dims], nullspaces, dim)
 
     def test_singular_second_root_moves_on(self, monkeypatch):
         # at p = 13 (rho = 3) the square block of this point is invertible
@@ -387,7 +406,7 @@ class TestModularHomSpace:
 class TestAreIsomorphic:
     def test_reflexive(self):
         V = stable_rep((2, 1, 1, 1, 1), 19)
-        g = are_isomorphic(V, V)
+        g = find_isomorphism(V, V).witness
         assert g is not None
         assert act(g, V) == V
 
@@ -397,7 +416,7 @@ class TestAreIsomorphic:
         while not A.det() or not (A - ident).det():
             A = random_matrix(rng, 3, 3)
         V = make_even_family(3, A)
-        g = are_isomorphic(V, tau_quiver(V), rng)
+        g = find_isomorphism(V, tau_quiver(V), rng).witness
         assert g is not None
         assert act(g, V) == tau_quiver(V)
 
@@ -411,15 +430,15 @@ class TestAreIsomorphic:
     def test_symmetric(self, rng):
         V = stable_rep((2, 2, 2, 1, 1), 22)
         W = act(random_group_element(V.dims, rng), V)
-        g = are_isomorphic(V, W, rng)
-        h = are_isomorphic(W, V, rng)
+        g = find_isomorphism(V, W, rng).witness
+        h = find_isomorphism(W, V, rng).witness
         assert g is not None and h is not None
         assert act(g, V) == W and act(h, W) == V
 
     def test_witness_action_compatibility(self, rng):
         V = stable_rep((3, 2, 2, 2, 1), 23)
         W = act(random_group_element(V.dims, rng), V)
-        g = are_isomorphic(V, W, rng)
+        g = find_isomorphism(V, W, rng).witness
         assert act(g, V) == W
 
     def test_one_dim_singular_hom_is_definitive(self):
@@ -460,13 +479,16 @@ class TestAreIsomorphic:
         assert search.witness is not None
         assert act(search.witness, V) == V
 
+    def test_inconclusive_is_derived(self):
+        g = GLAlphaElement.identity(DimVector(2, 1, 1, 1, 1))
+        assert IsomorphismSearch(None, 2).inconclusive
+        assert not IsomorphismSearch(None, 1).inconclusive
+        assert not IsomorphismSearch(None, 0).inconclusive
+        assert not any(IsomorphismSearch(g, d).inconclusive for d in (1, 2, 4))
+
 
 class TestSerialization:
     def test_quiver_round_trip(self):
         V = stable_rep((2, 1, 1, 1, 1), 24)
         back = QuiverRep.from_obj(V.to_obj())
         assert back == V
-
-    def test_group_element_round_trip(self, rng):
-        g = random_group_element(DimVector(2, 1, 1, 1, 1), rng)
-        assert GLAlphaElement.from_obj(g.to_obj()) == g
