@@ -16,7 +16,6 @@ from .cyclotomic import (
     TrivariatePoly,
     ZERO,
     parse_cycrat,
-    poly_proportional,
 )
 from .linalg import (
     CycMatrix,

@@ -25,8 +25,6 @@ __all__ = [
     "RHO2",
     "parse_cycrat",
     "TrivariatePoly",
-    "DegreeMismatchError",
-    "poly_proportional",
 ]
 
 class CycRat:
@@ -177,10 +175,6 @@ def parse_cycrat(text: str) -> CycRat:
         raise ValueError(f"zero denominator in Q(w) literal: {text!r}") from None
 
 
-class DegreeMismatchError(ValueError):
-    """Raised when combining homogeneous polynomials of different degrees."""
-
-
 class TrivariatePoly:
     """Homogeneous polynomial in x, y, z over Q(w).
 
@@ -257,16 +251,3 @@ class TrivariatePoly:
 
     def __repr__(self) -> str:
         return f"TrivariatePoly(deg={self.degree}, {self})"
-
-
-def poly_proportional(p: TrivariatePoly, q: TrivariatePoly) -> bool:
-    """True iff p = c*q for some nonzero scalar c (two zeros count as true)."""
-    if p.degree != q.degree:
-        raise DegreeMismatchError("polynomials must have equal degree")
-    if p.is_zero() or q.is_zero():
-        return p.is_zero() and q.is_zero()
-    if set(p.coeffs) != set(q.coeffs):
-        return False
-    anchor = next(iter(q.coeffs))
-    c = p.coeffs[anchor] / q.coeffs[anchor]
-    return all(p.coeffs[key] == c * val for key, val in q.coeffs.items())

@@ -200,7 +200,11 @@ class GLAlphaElement:
 
 
 def act(g: GLAlphaElement, V: QuiverRep) -> QuiverRep:
-    """Base-change action: B -> diag(N1,N2,N3) . B . diag(M1,M2)^{-1}."""
+    """Base-change action: B -> diag(N1,N2,N3) . B . diag(M1,M2)^{-1}.
+
+    No program path calls this: witnesses are checked multiplied out, with
+    no inverse, by ``_is_witness``.  Tests use it as that check's reference.
+    """
     d = V.dims
     expected = (d.a, d.b, d.x, d.y, d.z)
     for blk, size in zip(g.blocks(), expected):

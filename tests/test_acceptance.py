@@ -73,7 +73,7 @@ def test_criterion_3_exceptional_component():
     for trial in range(10):
         rng = random.Random(3000 + trial)
         params = sample_dim42_params(rng)
-        report = verify_dim42_family(params, rng)
+        report = verify_dim42_family(params)
         checks = dict(report.identities_checked)
         assert checks["cokernel_partition_identity"], trial
         assert checks["jumping_lines_match"], trial

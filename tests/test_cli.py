@@ -374,7 +374,9 @@ class TestJumpingExperimental:
     def test_n2_runs(self):
         result = run_cli("jumping", "--n", "2", "--trials", "1")
         assert result.returncode == 0
-        assert "proportional: True" in result.stdout
+        assert ("tau V has the same pencil for every B: its products C_i2 B_i2 "
+                "are the transposes of V's") in result.stdout.splitlines()
+        assert "proportional:" not in result.stdout
 
     def test_json_matches_text(self):
         args = ("jumping", "--n", "2", "--trials", "2", "--seed", "3")
@@ -385,9 +387,22 @@ class TestJumpingExperimental:
         assert payload["dims"] == DimVector(4, 2, 2, 2, 2).to_obj()
         assert [t["trial"] for t in payload["trials"]] == [0, 1]
         for t in payload["trials"]:
+            assert set(t) == {"trial", "pencil"}
             assert f"trial {t['trial']}: pencil      {t['pencil']}" in text
-            assert f"trial {t['trial']}: tau pencil  {t['tau_pencil']}" in text
-            assert f"trial {t['trial']}: proportional: {t['proportional']}" in text
+
+    def test_one_pencil_per_trial(self, monkeypatch, capsys):
+        # tau V's pencil is V's, so only V's is computed
+        calls = []
+        pencil = families.jumping_pencil
+
+        def counted(V):
+            calls.append(V)
+            return pencil(V)
+
+        monkeypatch.setattr(families, "jumping_pencil", counted)
+        assert cli.main(["jumping", "--n", "2", "--trials", "3"]) == 0
+        assert len(calls) == 3
+        assert capsys.readouterr().out.count(": pencil ") == 3
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_rejects_too_few_trials(self, trials):

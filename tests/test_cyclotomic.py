@@ -14,9 +14,7 @@ from braidrev import (
     ZERO,
     parse_cycrat,
     pencil_det,
-    poly_proportional,
 )
-from braidrev.cyclotomic import DegreeMismatchError
 
 
 def brute_mul(u: CycRat, v: CycRat) -> CycRat:
@@ -122,9 +120,6 @@ class TestTextSyntax:
             parse_cycrat(bad)
 
 
-x = TrivariatePoly.monomial(1, 0, 0)
-y = TrivariatePoly.monomial(0, 1, 0)
-z = TrivariatePoly.monomial(0, 0, 1)
 # x^2 - y^2 from its coefficients
 x2_minus_y2 = TrivariatePoly(2, {(2, 0, 0): ONE, (0, 2, 0): CycRat(-1)})
 
@@ -147,8 +142,6 @@ class TestTrivariatePoly:
         assert p == x2_minus_y2
 
     def test_degree_mismatch(self):
-        with pytest.raises(DegreeMismatchError):
-            poly_proportional(x, TrivariatePoly.monomial(1, 1, 0))
         with pytest.raises(ValueError):
             TrivariatePoly(1, {(1, 1, 0): ONE})
 
@@ -156,12 +149,3 @@ class TestTrivariatePoly:
         p = x2_minus_y2
         assert p.evaluate(CycRat(3), CycRat(2), ZERO) == CycRat(5)
         assert p.evaluate(RHO, RHO, ONE) == ZERO
-
-    def test_proportional(self):
-        x2 = TrivariatePoly.monomial(2, 0, 0)
-        zero = TrivariatePoly(2)
-        assert poly_proportional(x2, TrivariatePoly.monomial(2, 0, 0, CycRat(3)))
-        assert not poly_proportional(x2, TrivariatePoly.monomial(1, 1, 0))
-        assert poly_proportional(zero, zero)
-        assert not poly_proportional(x2, zero)
-        assert poly_proportional(TrivariatePoly.monomial(2, 0, 0, RHO), x2)
