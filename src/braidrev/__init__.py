@@ -55,7 +55,6 @@ from .families import (
     FamilySpec,
     SamplingError,
     WitnessReport,
-    jumping_lines_check,
     jumping_pencil,
     make_dim42_exceptional,
     make_dim6_detecting,
@@ -66,7 +65,6 @@ from .families import (
     verify_dim6_detection,
     verify_even_witness,
     verify_odd_family,
-    verify_two_dim_example,
 )
 from .classify import (
     ComponentReport,

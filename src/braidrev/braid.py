@@ -189,6 +189,8 @@ class B3Rep:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "B3Rep":
+        """A representation read from a file; unlike the constructor, this
+        checks the braid and central relations (``check_relations``)."""
         try:
             rep = cls(CycMatrix.from_obj(obj["X1"]), CycMatrix.from_obj(obj["X2"]))
             n = obj.get("n", rep.n)
@@ -196,6 +198,7 @@ class B3Rep:
                 raise ValueError(f"declared size {n!r} is not the integer {rep.n}")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed representation object: {exc}") from exc
+        rep.check_relations()
         return rep
 
 

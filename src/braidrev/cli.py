@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: classify, verify, reversion, trace, isom, build, and the
-experimental jumping.  All randomness is derived from --seed (default:
-the BRAIDREV_SEED environment variable, else 0) plus the trial index, so
-identical invocations produce identical bytes.  Values are printed in the
-exact text syntax for Q(w); no decimal approximations appear anywhere.
+experimental jumping.  All randomness is derived from --seed (default 0)
+plus the trial index, so identical invocations produce identical bytes.
+Values are printed in the exact text syntax for Q(w); no decimal
+approximations appear anywhere.
 
 Exit codes: 0 success/consistent, 1 a mathematical check failed (a
 command's return value), 2 usage or input errors (decided in ``main``).
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -95,7 +94,8 @@ def _verify_trial(args, trial: int) -> "families.WitnessReport":
         return families.verify_odd_family(args.k, _trial_seed(args.seed, trial))
     if args.family == "dim42":
         return families.verify_dim42_family(families.sample_dim42_params(rng))
-    return families.verify_two_dim_example(families.sample_twodim_param(rng))
+    # the two-dimensional example is the even family's mirror at k = 1
+    return families.verify_even_witness(1, families.sample_even_matrix(rng, 1), mirror=True)
 
 
 def cmd_verify(args) -> int:
@@ -183,7 +183,6 @@ def cmd_reversion(args) -> int:
 
 def cmd_trace(args) -> int:
     rep = B3Rep.from_obj(_load_json(args.rep))
-    rep.check_relations()
     word = parse_braid(args.braid)
     value = trace_of(rep, word)
     _emit(args, {"braid": str(word), "trace": str(value)},
@@ -256,13 +255,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # A string default passes through ``type``, so argparse itself rejects
-    # a malformed BRAIDREV_SEED with a usage error.
-    seed_default = os.environ.get("BRAIDREV_SEED", "0")
 
     def add_common(p, trials_default=10):
-        p.add_argument("--seed", type=int, default=seed_default,
-                       help="base seed (default: BRAIDREV_SEED or 0)")
+        p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
         p.add_argument("--trials", type=_at_least(1), default=trials_default)
         p.add_argument("--output", choices=("text", "json"), default="text")
 
@@ -293,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("isom", help="isomorphism oracle for two quiver files")
     p.add_argument("--rep1", required=True)
     p.add_argument("--rep2", required=True)
-    p.add_argument("--seed", type=int, default=seed_default)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_isom)
 

@@ -1,9 +1,10 @@
 """Explicit families of base-change matrices and their fixed-point checks.
 
 Each family constructor produces a QuiverRep on one of the components
-where the transpose involution acts trivially (even, odd, the exceptional
-(4,2;2,2,2) component, the two-dimensional example) or where it provably
-does not (the detecting (3,3;2,2,2) parametrization).  Verifiers either
+where the transpose involution acts trivially (the even family and its
+mirror, whose k = 1 member is the two-dimensional example; the odd
+family; the exceptional (4,2;2,2,2) component) or where it provably does
+not (the detecting (3,3;2,2,2) parametrization).  Verifiers either
 check closed-form matrix identities exactly or fall back to the
 isomorphism oracle, and always report which identities were checked.
 """
@@ -55,10 +56,7 @@ __all__ = [
     "sample_dim42_params",
     "verify_dim42_family",
     "jumping_pencil",
-    "jumping_lines_check",
     "cokernel_partition",
-    "sample_twodim_param",
-    "verify_two_dim_example",
 ]
 
 
@@ -158,11 +156,13 @@ def sample_stable_rep(dims: DimVector, rng: random.Random) -> QuiverRep:
                         f"stable representation with dims {dims}")
 
 
-# -- even family: dims (k, k; k, k-1, 1), B = [[I, I], [A, I]] ----------------
+# -- even family and its mirror: B = [[I, I], [A, I]] -------------------------
 
-def make_even_family(k: int, A: CycMatrix) -> QuiverRep:
+def make_even_family(k: int, A: CycMatrix, mirror: bool = False) -> QuiverRep:
     """Block matrix [[I_k, I_k], [A, I_k]] as a representation with
-    dimension vector (k, k; k, k-1, 1).
+    dimension vector (k, k; k, k-1, 1), or (k, k; k, 1, k-1) when
+    ``mirror`` names the mirror component.  At k = 1 the mirror is the
+    two-dimensional example B = [[1, 1], [a, 1]] on (1,1;1,1,0).
 
     Requires A and A - I invertible; the Schur complement of the top-left
     block is I - A, so the second condition is exactly invertibility of B.
@@ -175,7 +175,8 @@ def make_even_family(k: int, A: CycMatrix) -> QuiverRep:
     if not _modp.det_nonzero(A - ident):
         raise SingularMatrixError("A - I is singular", (A - ident).rank())
     B = block_compose([[ident, ident], [A, ident]])
-    return QuiverRep(DimVector(k, k, k, k - 1, 1), B)
+    y, z = (1, k - 1) if mirror else (k - 1, 1)
+    return QuiverRep(DimVector(k, k, k, y, z), B)
 
 
 def sample_even_matrix(rng: random.Random, k: int) -> CycMatrix:
@@ -202,25 +203,32 @@ def sample_even_matrix(rng: random.Random, k: int) -> CycMatrix:
                         f"valid symmetric {k}x{k} matrix")
 
 
-def verify_even_witness(k: int, A: CycMatrix) -> WitnessReport:
-    """Exact check of the closed-form fixed-point witness for the even family.
+def verify_even_witness(k: int, A: CycMatrix, mirror: bool = False) -> WitnessReport:
+    """Exact check of the closed-form fixed-point witness for the even family,
+    on (k, k; k, y, z) with (y, z) = (k-1, 1), or (1, k-1) on the mirror.
 
     With C = (A - I)^{-1} the checks are:
 
       (i)   (B^{-1})^tr equals [[-C, I+C], [C, -C]] entrywise;
       (ii)  B = diag(-A^{-1}, I_k) . (B^{-1})^tr . diag(C^{-1}A, -C^{-1});
-      (iii) the left factor is block diagonal for row blocks (k, k-1, 1);
-      (iv)  the witness g = (A^{-1}C, -C; -A^{-1}, I_{k-1}, I_1) is
+      (iii) the left factor is block diagonal for row blocks (k, y, z);
+      (iv)  the witness g = (A^{-1}C, -C; -A^{-1}, I_y, I_z) is
             invertible and satisfies act(g, V_{(B^{-1})^tr}) = V_B,
             multiplied out with no inverse, as find_isomorphism checks it.
+
+    N2 and N3 together are I_k, so the split (y, z) does not enter: the
+    same witness proves both components.  At k = 1 on the mirror, (ii)
+    is the two-dimensional example's identity (B^{-1})^tr =
+    diag(1, -1/a) . B . diag(1/(1-a), -a/(1-a)), rearranged.
 
     The source-side factor of the factorization is M1^{-1} = C^{-1}A, so
     the witness block is M1 = A^{-1}C; the alternative reading A C^{-1}
     is its inverse (A and C are rational functions of A, so they commute).
     """
-    V = make_even_family(k, A)
+    V = make_even_family(k, A, mirror)
     family = FamilySpec(
-        "even_k", k=k, parameters=tuple(v for row in A.entries for v in row)
+        "even_k_mirror" if mirror else "even_k", k=k,
+        parameters=tuple(v for row in A.entries for v in row),
     )
     ident = CycMatrix.identity(k)
     C = (A - ident).inverse()
@@ -235,7 +243,7 @@ def verify_even_witness(k: int, A: CycMatrix) -> WitnessReport:
     right = block_diag([C_inv @ A, -C_inv])
     id_factorization = V.B == left @ W.B @ right
 
-    sink = (k, k - 1, 1)
+    sink = V.dims.sink_blocks
     id_left_blocks = all(
         block_extract(left, sink, sink, i, j).is_zero()
         for i in range(3)
@@ -247,8 +255,8 @@ def verify_even_witness(k: int, A: CycMatrix) -> WitnessReport:
         M1=A_inv @ C,
         M2=-C,
         N1=-A_inv,
-        N2=CycMatrix.identity(k - 1),
-        N3=CycMatrix.identity(1),
+        N2=CycMatrix.identity(V.dims.y),
+        N3=CycMatrix.identity(V.dims.z),
     )
     id_action = witness.is_invertible() and _is_witness(witness, W, V)
 
@@ -411,7 +419,7 @@ def verify_dim42_family(params) -> WitnessReport:
     V = make_dim42_exceptional(params)
     W = tau_quiver(V)
     partition_ok = cokernel_partition(V) == CycMatrix.identity(V.dims.b)
-    jumping_ok = jumping_lines_check(V)
+    jumping_ok = jumping_pencil(W) == jumping_pencil(V)
     search = find_isomorphism(W, V)
     checks = [
         ("cokernel_partition_identity", partition_ok),
@@ -457,58 +465,6 @@ def jumping_pencil(V: QuiverRep) -> TrivariatePoly:
     tau(V) has the same pencil for every B: its products C_i2 B_i2 are the
     transposes of V's, and det(M^tr) = det(M)."""
     return pencil_det(*_pencil_products(V))
-
-
-def jumping_lines_check(V: QuiverRep) -> bool:
-    """Whether tau(V) has the same jumping pencil as V: true for every V,
-    detecting or fixed, so this checks only the exact arithmetic."""
-    return jumping_pencil(V) == jumping_pencil(tau_quiver(V))
-
-
-# -- the two-dimensional example ----------------------------------------------
-
-def sample_twodim_param(rng: random.Random) -> CycRat:
-    """A random parameter for ``verify_two_dim_example``, avoiding 0 and 1."""
-    return _first_valid(lambda: random_cycrat(rng), lambda a: a != ZERO and a != ONE,
-                        "two-dimensional parameter outside {0, 1}")
-
-
-def verify_two_dim_example(a) -> WitnessReport:
-    """Exact fixed-point identity for B = [[1, 1], [a, 1]], dims (1,1;1,1,0).
-
-    Checks (B^{-1})^tr = diag(1, -1/a) . B . diag(1/(1-a), -a/(1-a)) and
-    the group action, multiplied out.  Requires a not in {0, 1}.
-    """
-    a = _as_cycrat(a)
-    if a == ONE or not a:
-        raise ValueError("parameter must avoid 0 and 1")
-    one = ONE
-    B = CycMatrix([[one, one], [a, one]])
-    V = QuiverRep(DimVector(1, 1, 1, 1, 0), B)
-    W = tau_quiver(V)
-
-    inv_1ma = (one - a).inverse()
-    left = CycMatrix.diagonal([one, -a.inverse()])
-    right = CycMatrix.diagonal([inv_1ma, -a * inv_1ma])
-    id_displayed = W.B == left @ B @ right
-
-    # The identity above moves V to W; the reported witness is its inverse
-    # so that it carries W = V_{(B^-1)^tr} back onto V_B.
-    witness = GLAlphaElement(
-        M1=CycMatrix([[inv_1ma]]),
-        M2=CycMatrix([[a / (a - one)]]),
-        N1=CycMatrix([[one]]),
-        N2=CycMatrix([[-a]]),
-        N3=CycMatrix.zeros(0, 0),
-    )
-    id_action = witness.is_invertible() and _is_witness(witness, W, V)
-
-    checks = [("displayed_identity", id_displayed), ("witness_action", id_action)]
-    return WitnessReport(
-        family=FamilySpec("two_dim_example", parameters=(a,)),
-        identities_checked=checks,
-        witness=witness if id_action else None,
-    )
 
 
 def _expect(params, count: int):

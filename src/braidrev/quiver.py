@@ -199,6 +199,12 @@ class GLAlphaElement:
                 zip(("M1", "M2", "N1", "N2", "N3"), self.blocks())}
 
 
+def _fits(g: GLAlphaElement, d: DimVector) -> bool:
+    """Whether g's blocks are square of sizes (a, b, x, y, z)."""
+    return all(blk.shape == (size, size)
+               for blk, size in zip(g.blocks(), d.source_blocks + d.sink_blocks))
+
+
 def act(g: GLAlphaElement, V: QuiverRep) -> QuiverRep:
     """Base-change action: B -> diag(N1,N2,N3) . B . diag(M1,M2)^{-1}.
 
@@ -206,10 +212,8 @@ def act(g: GLAlphaElement, V: QuiverRep) -> QuiverRep:
     no inverse, by ``_is_witness``.  Tests use it as that check's reference.
     """
     d = V.dims
-    expected = (d.a, d.b, d.x, d.y, d.z)
-    for blk, size in zip(g.blocks(), expected):
-        if blk.shape != (size, size):
-            raise ShapeError(f"group element block {blk.shape} does not fit {d}")
+    if not _fits(g, d):
+        raise ShapeError(f"group element blocks do not fit {d}")
     m_inv = block_diag([g.M1.inverse(), g.M2.inverse()])
     newB = g.sink_matrix() @ V.B @ m_inv
     return QuiverRep(d, newB)
@@ -322,8 +326,12 @@ def _hom_element(d: DimVector, wb: CycMatrix, v_inv: CycMatrix,
 
 def _is_witness(g: GLAlphaElement, V: QuiverRep, W: QuiverRep) -> bool:
     """Whether act(g, V) == W for an invertible g, checked without inverses
-    as the multiplied-out identity diag(N) . V.B == W.B . diag(M)."""
-    return g.sink_matrix() @ V.B == W.B @ g.source_matrix()
+    as the multiplied-out identity diag(N) . V.B == W.B . diag(M).
+
+    The block sizes are checked first: blocks of another split of the same
+    total sizes assemble the same diag(M) and diag(N), but act rejects them."""
+    return (V.dims == W.dims and _fits(g, V.dims)
+            and g.sink_matrix() @ V.B == W.B @ g.source_matrix())
 
 
 @dataclass(frozen=True)

@@ -279,3 +279,8 @@ class TestSerialization:
         bogus = B3Rep(CycMatrix([[2, 0], [0, 1]]), CycMatrix.identity(2))
         with pytest.raises(ValueError):
             bogus.check_relations()
+
+    def test_from_obj_checks_relations(self):
+        bogus = B3Rep(CycMatrix([[2, 0], [0, 1]]), CycMatrix.identity(2))
+        with pytest.raises(ValueError, match="relation"):
+            B3Rep.from_obj(bogus.to_obj())

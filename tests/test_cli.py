@@ -1,23 +1,21 @@
 import itertools
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from braidrev import CycMatrix, CycRat, DimVector, QuiverRep, build_rep, cli, families
+from braidrev import B3Rep, CycMatrix, CycRat, DimVector, QuiverRep, build_rep, cli, families
 from conftest import stable_rep
 from test_quiver import direct_sum
 
 
-def run_cli(*args, env=None):
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "braidrev", *args],
         capture_output=True,
         text=True,
-        env=env,
         timeout=300,
     )
 
@@ -257,6 +255,8 @@ BOOL_COLS_QUIVER = {"dims": DimVector(1, 0, 1, 0, 0).to_obj(),
 REP_5 = json.loads((Path(__file__).resolve().parent / "golden" / "build_isom_v.stdout")
                    .read_text(encoding="utf-8"))
 REP_1 = build_rep(QuiverRep(DimVector(1, 0, 1, 0, 0), CycMatrix([[1]]))).to_obj()
+# well-formed, but X1 X2 X1 != X2 X1 X2: B3Rep.from_obj checks the relations
+RELATIONS_FAIL = B3Rep(CycMatrix.diagonal([2, 1]), CycMatrix.identity(2)).to_obj()
 # a (4,2;2,2,2) quiver, to pair with the (1,1;1,0,1) one of quiver_with()
 QUIVER_42222 = str(Path(__file__).resolve().parent / "golden" / "isom_sum_s.json")
 
@@ -275,55 +275,54 @@ def quiver_with(*entry, shape=None, **dims):
 
 class TestMalformedInput:
     @pytest.mark.parametrize(
-        "args,content,env",
+        "args,content",
         [
-            (["isom", "--rep1", "{f}", "--rep2", "{f}"], SINGULAR_QUIVER, {}),
-            (["build", "--quiver", "{f}"], {"dims": DIMS_2}, {}),
-            (["isom", "--rep1", "{f}", "--rep2", "{f}"], {"dims": DIMS_2}, {}),
-            (["build", "--quiver", "{f}"], [], {}),
-            (["trace", "--rep", "{f}", "--braid", "s1"], [], {}),
-            (["reversion", "--alpha", "2,1,1,1,1", "--trials", "1"], None,
-             {"BRAIDREV_SEED": "abc"}),
-            (["build", "--quiver", "{f}"], quiver_with(1.5), {}),
-            (["build", "--quiver", "{f}"], quiver_with(None), {}),
-            (["build", "--quiver", "{f}"], quiver_with(["1"]), {}),
-            (["build", "--quiver", "{f}"], quiver_with("1/0"), {}),
-            (["build", "--quiver", "{f}"], quiver_with("1+1/0w"), {}),
-            (["build", "--quiver", "{f}"], quiver_with(a=1.5), {}),
-            (["build", "--quiver", "{f}"], quiver_with(b=True), {}),
-            (["build", "--quiver", "{f}"], quiver_with(x="1"), {}),
-            (["isom", "--rep1", "{f}", "--rep2", "{f}"], ZERO_QUIVER, {}),
-            (["build", "--quiver", "{f}"], ZERO_QUIVER, {}),
-            (["build", "--quiver", "{f}"], quiver_with(shape=(2.0, 2)), {}),
-            (["build", "--quiver", "{f}"], BOOL_COLS_QUIVER, {}),
-            (["build", "--quiver", "{f}"], quiver_with(shape=("2", 2)), {}),
-            (["trace", "--rep", "{f}", "--braid", "s1"], dict(REP_5, n=5.9), {}),
-            (["trace", "--rep", "{f}", "--braid", "s1"], dict(REP_5, n="5"), {}),
-            (["trace", "--rep", "{f}", "--braid", "s1"], dict(REP_1, n=True), {}),
-            (["classify", "--n", "0"], None, {}),
-            (["verify", "--family", "even", "--k", "0"], None, {}),
-            (["verify", "--family", "dim42", "--trials", "0"], None, {}),
-            (["verify", "--family", "dim42", "--k", "5", "--trials", "1"], None, {}),
-            (["verify", "--family", "twodim", "--k", "5", "--trials", "1"], None, {}),
-            (["reversion", "--alpha", "2,1,1,1,1", "--trials", "0"], None, {}),
-            (["jumping", "--n", "1"], None, {}),
-            (["isom", "--rep1", "{f}", "--rep2", QUIVER_42222], quiver_with(), {}),
+            (["isom", "--rep1", "{f}", "--rep2", "{f}"], SINGULAR_QUIVER),
+            (["build", "--quiver", "{f}"], {"dims": DIMS_2}),
+            (["isom", "--rep1", "{f}", "--rep2", "{f}"], {"dims": DIMS_2}),
+            (["build", "--quiver", "{f}"], []),
+            (["trace", "--rep", "{f}", "--braid", "s1"], []),
+            (["build", "--quiver", "{f}"], quiver_with(1.5)),
+            (["build", "--quiver", "{f}"], quiver_with(None)),
+            (["build", "--quiver", "{f}"], quiver_with(["1"])),
+            (["build", "--quiver", "{f}"], quiver_with("1/0")),
+            (["build", "--quiver", "{f}"], quiver_with("1+1/0w")),
+            (["build", "--quiver", "{f}"], quiver_with(a=1.5)),
+            (["build", "--quiver", "{f}"], quiver_with(b=True)),
+            (["build", "--quiver", "{f}"], quiver_with(x="1")),
+            (["isom", "--rep1", "{f}", "--rep2", "{f}"], ZERO_QUIVER),
+            (["build", "--quiver", "{f}"], ZERO_QUIVER),
+            (["build", "--quiver", "{f}"], quiver_with(shape=(2.0, 2))),
+            (["build", "--quiver", "{f}"], BOOL_COLS_QUIVER),
+            (["build", "--quiver", "{f}"], quiver_with(shape=("2", 2))),
+            (["trace", "--rep", "{f}", "--braid", "s1"], dict(REP_5, n=5.9)),
+            (["trace", "--rep", "{f}", "--braid", "s1"], dict(REP_5, n="5")),
+            (["trace", "--rep", "{f}", "--braid", "s1"], dict(REP_1, n=True)),
+            (["trace", "--rep", "{f}", "--braid", "s1"], RELATIONS_FAIL),
+            (["classify", "--n", "0"], None),
+            (["verify", "--family", "even", "--k", "0"], None),
+            (["verify", "--family", "dim42", "--trials", "0"], None),
+            (["verify", "--family", "dim42", "--k", "5", "--trials", "1"], None),
+            (["verify", "--family", "twodim", "--k", "5", "--trials", "1"], None),
+            (["reversion", "--alpha", "2,1,1,1,1", "--trials", "0"], None),
+            (["jumping", "--n", "1"], None),
+            (["isom", "--rep1", "{f}", "--rep2", QUIVER_42222], quiver_with()),
         ],
         ids=["isom-singular-B", "build-no-B", "isom-no-B", "build-list",
-             "trace-list", "bad-env-seed", "entry-float", "entry-null",
+             "trace-list", "entry-float", "entry-null",
              "entry-list", "entry-zero-denominator", "entry-zero-denominator-w",
              "dims-float", "dims-bool", "dims-string", "isom-zero-dims",
              "build-zero-dims", "rows-float", "cols-bool", "rows-string",
-             "n-float", "n-string", "n-bool", "classify-n-0", "verify-k-0",
+             "n-float", "n-string", "n-bool", "trace-relations-fail",
+             "classify-n-0", "verify-k-0",
              "verify-trials-0", "verify-dim42-k", "verify-twodim-k",
              "reversion-trials-0", "jumping-n-1",
              "isom-dims-differ"],
     )
-    def test_usage_error_without_traceback(self, tmp_path, args, content, env):
+    def test_usage_error_without_traceback(self, tmp_path, args, content):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(content))
-        result = run_cli(*(a.replace("{f}", str(path)) for a in args),
-                         env=dict(os.environ, **env))
+        result = run_cli(*(a.replace("{f}", str(path)) for a in args))
         assert result.returncode == 2
         assert "error:" in result.stderr
         assert "Traceback" not in result.stderr
@@ -428,12 +427,3 @@ class TestDeterminism:
         a = run_cli(*base, "--seed", "1")
         b = run_cli(*base, "--seed", "2")
         assert a.stdout != b.stdout
-
-    def test_env_seed_default(self, example_quiver_file):
-        import os
-
-        env = dict(os.environ, BRAIDREV_SEED="7")
-        a = run_cli("reversion", "--alpha", "2,1,1,1,1", "--trials", "1", env=env)
-        b = run_cli("reversion", "--alpha", "2,1,1,1,1", "--trials", "1",
-                    "--seed", "7")
-        assert a.stdout == b.stdout

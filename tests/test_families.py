@@ -15,7 +15,6 @@ from braidrev import (
     build_rep,
     find_isomorphism,
     is_simple,
-    jumping_lines_check,
     jumping_pencil,
     make_dim42_exceptional,
     make_dim6_detecting,
@@ -26,7 +25,6 @@ from braidrev import (
     verify_dim42_family,
     verify_even_witness,
     verify_odd_family,
-    verify_two_dim_example,
 )
 from braidrev import families
 from braidrev.families import (
@@ -221,19 +219,19 @@ class TestJumpingLines:
 
     def test_check_passes(self):
         V = make_dim42_exceptional(self.PARAMS)
-        assert jumping_lines_check(V)
+        assert jumping_pencil(tau_quiver(V)) == jumping_pencil(V)
 
     def test_invariant_under_action(self, rng):
         V = make_dim42_exceptional(self.PARAMS)
         g = random_group_element(V.dims, rng)
         moved = act(g, V)
-        assert jumping_lines_check(moved)
+        assert jumping_pencil(tau_quiver(moved)) == jumping_pencil(moved)
         assert jumping_pencil(moved) == jumping_pencil(V)
 
     def test_shape_guard(self):
         V = make_dim6_detecting([2, 3, 5, 7, 11, 13, 17])
         with pytest.raises(ShapeError):
-            jumping_lines_check(V)
+            jumping_pencil(V)
 
     def test_rank_three_bundle(self):
         # dims (6,3;3,3,3): pencils still compare, degree 3
@@ -241,14 +239,14 @@ class TestJumpingLines:
         B = invertible(rng, 9)
         V = QuiverRep(DimVector(6, 3, 3, 3, 3), B)
         assert jumping_pencil(V).degree == 3
-        assert jumping_lines_check(V)
+        assert jumping_pencil(tau_quiver(V)) == jumping_pencil(V)
 
     @pytest.mark.parametrize("dims", [(4, 2, 2, 2, 2), (6, 3, 3, 3, 3)],
                              ids=["fixed-42222", "detecting-63333"])
     def test_tau_pencil_is_the_same_pencil(self, dims):
         # The products C_i2 B_i2 of tau(V) are the transposes of V's, and
         # det(M^tr) = det(M): the pencils agree for any B, on detecting
-        # components too, so jumping_lines_check cannot fail.
+        # components too, so the jumping_lines_match check cannot fail.
         V = QuiverRep(DimVector(*dims), invertible(random.Random(0), dims[0] + dims[1]))
         W = tau_quiver(V)
         products = [families._pencil_products(U) for U in (V, W)]
@@ -257,21 +255,55 @@ class TestJumpingLines:
 
 
 class TestTwoDimExample:
+    # B = [[1, 1], [a, 1]] on (1,1;1,1,0) is the even family's mirror at k = 1
+
+    def test_is_the_mirror_at_k1(self):
+        V = make_even_family(1, CycMatrix([[2]]), mirror=True)
+        assert V.dims == DimVector(1, 1, 1, 1, 0)
+        assert V.B == CycMatrix([[1, 1], [2, 1]])
+
     def test_a_two(self):
-        report = verify_two_dim_example(CycRat(2))
+        report = verify_even_witness(1, CycMatrix([[2]]), mirror=True)
         assert report.isomorphic
 
     def test_a_minus_one(self):
-        report = verify_two_dim_example(CycRat(-1))
+        report = verify_even_witness(1, CycMatrix([[-1]]), mirror=True)
         assert report.isomorphic
 
     def test_a_rho(self):
-        assert verify_two_dim_example(RHO).isomorphic
+        assert verify_even_witness(1, CycMatrix([[RHO]]), mirror=True).isomorphic
 
     @pytest.mark.parametrize("bad", [1, 0])
     def test_excluded_parameters(self, bad):
         with pytest.raises(ValueError):
-            verify_two_dim_example(CycRat(bad))
+            verify_even_witness(1, CycMatrix([[bad]]), mirror=True)
+
+    def test_displayed_identity(self):
+        # the paper's (B^-1)^tr = diag(1, -1/a) . B . diag(1/(1-a), -a/(1-a)),
+        # of which identity (ii) is a rearrangement
+        a = CycRat(3, -2)
+        V = make_even_family(1, CycMatrix([[a]]), mirror=True)
+        inv_1ma = (1 - a).inverse()
+        left = CycMatrix.diagonal([1, -a.inverse()])
+        right = CycMatrix.diagonal([inv_1ma, -a * inv_1ma])
+        assert tau_quiver(V).B == left @ V.B @ right
+
+
+@pytest.mark.parametrize("mirror", [False, True], ids=["even", "mirror"])
+def test_even_witness_proves_both_splits(mirror):
+    # N2 + N3 = I_k, so the closed form proves (k,k;k,k-1,1) and
+    # (k,k;k,1,k-1) alike; the oracle agrees with hom dimension 1
+    rng = random.Random(62)
+    for k in range(1, 5):
+        A = sample_even_matrix(rng, k)
+        report = verify_even_witness(k, A, mirror)
+        V = make_even_family(k, A, mirror)
+        assert V.dims.sink_blocks == ((k, 1, k - 1) if mirror else (k, k - 1, 1))
+        assert report.isomorphic, report.identities_checked
+        assert report.family.kind == ("even_k_mirror" if mirror else "even_k")
+        assert act(report.witness, tau_quiver(V)) == V
+        search = find_isomorphism(tau_quiver(V), V)
+        assert search.hom_dim == 1 and search.witness is not None
 
 
 class TestWitnessReportJson:

@@ -22,7 +22,7 @@ from braidrev import (
     parse_braid,
 )
 from braidrev import _modp, quiver
-from braidrev.families import make_odd_family, random_matrix
+from braidrev.families import make_odd_family, random_matrix, sample_even_matrix
 from braidrev.quiver import _hom_space_exact
 from conftest import invertible, stable_rep
 
@@ -468,6 +468,29 @@ class TestAreIsomorphic:
             bad = GLAlphaElement(**{**vars(g), name: blk + bump})
             assert bad.is_invertible()
             assert not quiver._is_witness(bad, W, V)
+
+    def test_witness_check_rejects_blocks_of_another_split(self):
+        # On the mirror (3,3;3,1,2) the even witness with the even split
+        # (N2 = I_2, N3 = I_1) assembles the right diag(N), but its blocks
+        # do not fit the dimension vector, so it is no witness.
+        A = sample_even_matrix(random.Random(5), 3)
+        V = make_even_family(3, A, mirror=True)
+        W = tau_quiver(V)
+        C = (A - CycMatrix.identity(3)).inverse()
+        A_inv = A.inverse()
+
+        def witness(y, z):
+            return GLAlphaElement(A_inv @ C, -C, -A_inv,
+                                  CycMatrix.identity(y), CycMatrix.identity(z))
+
+        assert quiver._is_witness(witness(1, 2), W, V)
+        assert act(witness(1, 2), W) == V
+        g = witness(2, 1)
+        assert g.is_invertible()
+        assert g.sink_matrix() @ W.B == V.B @ g.source_matrix()
+        with pytest.raises(ShapeError):
+            act(g, W)
+        assert not quiver._is_witness(g, W, V)
 
     def test_non_stable_isomorphic_found_by_search(self, rng):
         # the square of a one-dimensional representation: hom space is the
