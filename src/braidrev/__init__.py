@@ -62,7 +62,6 @@ from .families import (
     make_odd_family,
     sample_stable_rep,
     verify_dim42_family,
-    verify_dim6_detection,
     verify_even_witness,
     verify_odd_family,
 )
@@ -72,7 +71,6 @@ from .classify import (
     component_dimension,
     detecting_rule,
     enumerate_components,
-    is_fixed_dimvector,
     normalize,
 )
 

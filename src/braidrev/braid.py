@@ -19,7 +19,7 @@ from operator import matmul
 
 from . import _modp
 from .cyclotomic import CycRat, ONE, RHO, RHO2
-from .linalg import CycMatrix, ShapeError, _bareiss_row, span_closure_dim
+from .linalg import CycMatrix, ShapeError, _bareiss_row, _read_at, span_closure_dim
 from .quiver import DimVector, QuiverRep
 
 __all__ = [
@@ -192,7 +192,8 @@ class B3Rep:
         """A representation read from a file; unlike the constructor, this
         checks the braid and central relations (``check_relations``)."""
         try:
-            rep = cls(CycMatrix.from_obj(obj["X1"]), CycMatrix.from_obj(obj["X2"]))
+            rep = cls(_read_at("X1", CycMatrix.from_obj, obj["X1"]),
+                      _read_at("X2", CycMatrix.from_obj, obj["X2"]))
             n = obj.get("n", rep.n)
             if type(n) is not int or n != rep.n:  # bool is not a size
                 raise ValueError(f"declared size {n!r} is not the integer {rep.n}")

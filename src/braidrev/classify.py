@@ -13,8 +13,15 @@ The involution acts trivially exactly on
     (k+1,k;k,k,1),  (k+1,k;k,1,k)      for k >= 1,
 
 each of dimension n; every other simple component detects braid reversion.
-An equivalent componentwise test, min(a, b) >= 3 and min(x, y, z) >= 2
-for "detecting", is exposed for cross-checking the list.
+
+``classify_component`` decides by a rule that equals the list on simple
+vectors: detecting iff min(a, b) >= 3 and min(x, y, z) >= 2.  Every
+member of the list has b <= 2 or a sink entry <= 1.  Conversely, take a
+normalized simple vector with b <= 2 or a sink entry <= 1.  With a sink
+entry 0 it has n <= 2: (1,0;1,0,0), (1,1;1,1,0) or (1,1;1,0,1).  Else
+simplicity bounds every sink entry by b.  A sink entry 1 leaves two that
+sum to a + b - 1, so a <= b + 1: the even and odd families and their
+mirrors.  Otherwise the sink entries lie in [2, b] with b <= 2: (4,2;2,2,2).
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ __all__ = [
     "ComponentReport",
     "normalize",
     "component_dimension",
-    "is_fixed_dimvector",
     "detecting_rule",
     "classify_component",
     "enumerate_components",
@@ -104,25 +110,10 @@ def component_dimension(d: DimVector) -> int:
     return 2 + 2 * d.a * d.b - (d.x * d.x + d.y * d.y + d.z * d.z)
 
 
-def is_fixed_dimvector(d: DimVector) -> bool:
-    """Membership of the normalized vector in the fixed-component list."""
-    nd = normalize(d)
-    a, b, x, y, z = nd.a, nd.b, nd.x, nd.y, nd.z
-    if (a, b, x, y, z) in ((1, 0, 1, 0, 0), (4, 2, 2, 2, 2)):
-        return True
-    if a == b and a >= 1:
-        k = a
-        return (x, y, z) in ((k, k - 1, 1), (k, 1, k - 1))
-    if a == b + 1 and b >= 1:
-        k = b
-        return (x, y, z) in ((k, k, 1), (k, 1, k))
-    return False
-
-
 def detecting_rule(d: DimVector) -> bool:
-    """Componentwise test equivalent to "not in the fixed list" for simple
-    vectors: both source multiplicities at least 3 and every eigenvalue of
-    the order-3 generator at least double."""
+    """Whether a simple component detects reversion: both source
+    multiplicities at least 3 and every eigenvalue of the order-3
+    generator at least double (the module docstring proves it)."""
     return min(d.a, d.b) >= 3 and min(d.x, d.y, d.z) >= 2
 
 
@@ -130,7 +121,7 @@ def classify_component(d: DimVector) -> ComponentReport:
     nd = normalize(d)
     if not is_simple_dimvector(nd):
         return ComponentReport(nd, NOT_SIMPLE)
-    return ComponentReport(nd, FIXED if is_fixed_dimvector(nd) else DETECTING)
+    return ComponentReport(nd, DETECTING if detecting_rule(nd) else FIXED)
 
 
 def enumerate_components(n: int) -> list:

@@ -307,6 +307,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Exact values may run to any length: lift Python's limit on int <-> str
+    # digits (absent before 3.10.7) for this process, not in the library.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import _modp
-from .braid import EIGHT_SEVENTEEN, build_rep, is_simple, reverse_braid, trace_of
+from .braid import build_rep, is_simple
 from .cyclotomic import CycRat, ONE, TrivariatePoly, ZERO
 from .linalg import (
     CycMatrix,
@@ -51,7 +51,6 @@ __all__ = [
     "verify_odd_family",
     "make_dim6_detecting",
     "sample_dim6_params",
-    "verify_dim6_detection",
     "make_dim42_exceptional",
     "sample_dim42_params",
     "verify_dim42_family",
@@ -84,15 +83,15 @@ class FamilySpec:
 
 @dataclass
 class WitnessReport:
-    """Outcome of one family verification: the identities checked, each a
-    (name, ok) pair, and the witness g with act(g, V_{(B^-1)^tr}) = V_B if
-    one was checked exactly."""
+    """Outcome of one fixed-point verification: the identities checked,
+    each a (name, ok) pair, and the witness g with act(g, V_{(B^-1)^tr})
+    = V_B if one was checked exactly.  Detection has no report here:
+    ``reversion`` prints its exact trace gap."""
 
     family: FamilySpec
     identities_checked: list = field(default_factory=list)
     witness: GLAlphaElement | None = None
     notes: str = ""
-    traces: tuple | None = None
 
     @property
     def isomorphic(self) -> bool:
@@ -107,11 +106,6 @@ class WitnessReport:
                 {"name": name, "ok": ok} for name, ok in self.identities_checked
             ],
             "witness": self.witness.to_obj() if self.witness is not None else None,
-            "traces": (
-                {"b": str(self.traces[0]), "b_rev": str(self.traces[1])}
-                if self.traces is not None
-                else None
-            ),
             "notes": self.notes,
         }
 
@@ -351,35 +345,6 @@ def _sample_params(make, draw) -> tuple:
         return is_simple(build_rep(V))
 
     return _first_valid(draw, valid, "generic parameter point")
-
-
-def verify_dim6_detection(params) -> WitnessReport:
-    """Cross-check the two certificates that (3,3;2,2,2) is not fixed.
-
-    The oracle must find no witness against the transpose image, and the
-    detection braid must separate from its reverse; the two answers have
-    to agree (a representation isomorphic to its transpose cannot
-    separate any word from its reverse).  ``isomorphic`` is False on
-    success; the exact trace pair is recorded.
-    """
-    V = make_dim6_detecting(params)
-    search = find_isomorphism(V, tau_quiver(V))
-    phi = build_rep(V)
-    t_fwd = trace_of(phi, EIGHT_SEVENTEEN)
-    t_rev = trace_of(phi, reverse_braid(EIGHT_SEVENTEEN))
-    separated = t_fwd != t_rev
-    no_witness = search.witness is None and not search.inconclusive
-    checks = [
-        ("oracle_finds_no_witness", no_witness),
-        ("trace_separation", separated),
-        ("certificates_agree", no_witness == separated),
-    ]
-    return WitnessReport(
-        family=FamilySpec("dim6_detecting", parameters=tuple(params)),
-        identities_checked=checks,
-        notes="detecting component: success means no witness and a trace gap",
-        traces=(t_fwd, t_rev),
-    )
 
 
 # -- the exceptional component (4, 2; 2, 2, 2) --------------------------------

@@ -58,6 +58,15 @@ def _as_cycrat(value) -> CycRat:
     return CycRat(value)
 
 
+def _read_at(key: str, read, value):
+    """``read(value)``; a ValueError it raises is raised again with ``key``,
+    the JSON path ``value`` came from, in front of its message."""
+    try:
+        return read(value)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
 def _cycrat(a: int, b: int, den: int) -> CycRat:
     return CycRat(Fraction(a, den), Fraction(b, den))
 
@@ -366,7 +375,8 @@ class CycMatrix:
         if (not isinstance(raw, list) or len(raw) != rows
                 or any(not isinstance(r, list) or len(r) != cols for r in raw)):
             raise ValueError(f"entries are not a grid of the declared shape {rows}x{cols}")
-        entries = [[parse_cycrat(v) for v in row] for row in raw]
+        entries = [[_read_at(f"entries[{i}][{j}]", parse_cycrat, v) for j, v in enumerate(row)]
+                   for i, row in enumerate(raw)]
         return cls(entries) if rows and cols else cls.zeros(rows, cols)
 
 

@@ -25,6 +25,7 @@ from .cyclotomic import CycRat
 from .linalg import (
     CycMatrix,
     ShapeError,
+    _read_at,
     block_diag,
     block_extract,
 )
@@ -151,7 +152,8 @@ class QuiverRep:
         """Quiver data read from a file; unlike the constructor, this checks
         that B is invertible and that the space is not zero."""
         try:
-            V = cls(DimVector.from_obj(obj["dims"]), CycMatrix.from_obj(obj["B"]))
+            V = cls(_read_at("dims", DimVector.from_obj, obj["dims"]),
+                    _read_at("B", CycMatrix.from_obj, obj["B"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed quiver object: {exc}") from exc
         if V.dims.n == 0:

@@ -4,13 +4,12 @@ from braidrev import (
     DimVector,
     classify_component,
     component_dimension,
-    detecting_rule,
     enumerate_components,
-    is_fixed_dimvector,
     is_simple_dimvector,
     normalize,
 )
 from braidrev.classify import DETECTING, FIXED, NOT_SIMPLE
+from test_acceptance import _expected_family_fixed
 
 
 def dv(a, b, x, y, z):
@@ -138,10 +137,14 @@ class TestEnumerate:
 
 class TestCrossCheck:
     def test_rule_agrees_with_list_up_to_20(self):
+        # the verdicts come from the rule; the list is the theorem
         for n in range(1, 21):
-            for report in enumerate_components(n):
-                rule_says_detecting = detecting_rule(report.dims)
-                assert rule_says_detecting == (report.verdict == DETECTING), report.dims
+            fixed = {
+                (r.dims.a, r.dims.b, r.dims.x, r.dims.y, r.dims.z)
+                for r in enumerate_components(n)
+                if r.verdict == FIXED
+            }
+            assert fixed == _expected_family_fixed(n), n
 
     def test_fixed_components_have_dimension_n(self):
         for n in range(1, 21):
@@ -164,5 +167,5 @@ class TestCrossCheck:
         assert fixed15 == {(8, 7, 7, 7, 1), (8, 7, 7, 1, 7)}
 
     def test_is_fixed_handles_unnormalized_input(self):
-        assert is_fixed_dimvector(dv(2, 4, 2, 2, 2))
-        assert not is_fixed_dimvector(dv(3, 3, 2, 2, 2))
+        assert classify_component(dv(2, 4, 2, 2, 2)).verdict == FIXED
+        assert classify_component(dv(3, 3, 2, 2, 2)).verdict == DETECTING

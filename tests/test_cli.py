@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from braidrev import B3Rep, CycMatrix, CycRat, DimVector, QuiverRep, build_rep, cli, families
+from braidrev import (B3Rep, CycMatrix, CycRat, DimVector, QuiverRep, build_rep, cli, families,
+                      parse_braid, parse_cycrat, trace_of)
 from conftest import stable_rep
 from test_quiver import direct_sum
 
@@ -18,6 +19,19 @@ def run_cli(*args):
         text=True,
         timeout=300,
     )
+
+
+@pytest.fixture
+def no_digit_limit():
+    """Python's limit on int <-> str digits (absent before 3.10.7), lifted
+    in this process for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +198,17 @@ class TestFileCommands:
         assert result.returncode == 0
         assert result.stdout.strip().endswith("= 2")
 
+    def test_trace_longer_than_the_digit_limit(self, no_digit_limit):
+        # Python refuses int <-> str conversions past 4300 digits by
+        # default; the CLI lifts that limit, so exact values of any length
+        # print, and the test lifts it to read this one back
+        result = run_cli("trace", "--rep", str(GOLDEN / "build_isom_v.stdout"),
+                         "--braid", "s1^500", "--output", "json")
+        assert result.returncode == 0 and result.stderr == ""
+        text = json.loads(result.stdout)["trace"]
+        assert len(text) > 4300
+        assert parse_cycrat(text) == trace_of(B3Rep.from_obj(REP_5), parse_braid("s1^500"))
+
     def test_isom_self(self, example_quiver_file):
         result = run_cli(
             "isom", "--rep1", str(example_quiver_file),
@@ -252,8 +277,8 @@ BOOL_COLS_QUIVER = {"dims": DimVector(1, 0, 1, 0, 0).to_obj(),
 
 # the 5 x 5 golden ``build`` output, and the 1 x 1 representation, for
 # which a declared size of true would equal the size
-REP_5 = json.loads((Path(__file__).resolve().parent / "golden" / "build_isom_v.stdout")
-                   .read_text(encoding="utf-8"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
+REP_5 = json.loads((GOLDEN / "build_isom_v.stdout").read_text(encoding="utf-8"))
 REP_1 = build_rep(QuiverRep(DimVector(1, 0, 1, 0, 0), CycMatrix([[1]]))).to_obj()
 # well-formed, but X1 X2 X1 != X2 X1 X2: B3Rep.from_obj checks the relations
 RELATIONS_FAIL = B3Rep(CycMatrix.diagonal([2, 1]), CycMatrix.identity(2)).to_obj()
@@ -360,6 +385,27 @@ class TestMalformedInput:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: no ") and err.endswith(" in 0 attempts\n")
+
+    @pytest.mark.parametrize(
+        "args,content,message",
+        [
+            (["build", "--quiver", "{f}"], quiver_with("x"),
+             "error: B: entries[0][1]: not a valid Q(w) literal: 'x'"),
+            (["trace", "--rep", "{f}", "--braid", "s1"],
+             dict(REP_1, X2=dict(REP_1["X2"], cols=2)),
+             "error: X2: entries are not a grid of the declared shape 1x2"),
+            (["build", "--quiver", "{f}"], quiver_with(a=1.5),
+             "error: dims: dimension vector entries must be integers"),
+        ],
+        ids=["entry", "X2-shape", "dims"],
+    )
+    def test_error_names_json_path(self, tmp_path, args, content, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        result = run_cli(*(a.replace("{f}", str(path)) for a in args))
+        assert result.returncode == 2
+        assert result.stderr.startswith(message)
+        assert "Traceback" not in result.stderr
 
     def test_build_out_missing_directory(self, tmp_path, example_quiver_file):
         out = tmp_path / "missing" / "rep.json"

@@ -7,6 +7,7 @@ from braidrev import (
     CycMatrix,
     CycRat,
     DimVector,
+    EIGHT_SEVENTEEN,
     QuiverRep,
     RHO,
     ShapeError,
@@ -21,7 +22,9 @@ from braidrev import (
     make_even_family,
     make_odd_family,
     recover_dimvector,
+    reverse_braid,
     tau_quiver,
+    trace_of,
     verify_dim42_family,
     verify_even_witness,
     verify_odd_family,
@@ -37,7 +40,7 @@ from test_quiver import random_group_element
 
 
 class TestEvenFamily:
-    def test_k1_matches_two_dim_shape(self):
+    def test_k1_even_split(self):
         V = make_even_family(1, CycMatrix([[2]]))
         assert V.B == CycMatrix([[1, 1], [2, 1]])
         assert V.dims == DimVector(1, 1, 1, 0, 1)
@@ -119,6 +122,7 @@ class TestDim6Detecting:
         V = make_dim6_detecting(self.PARAMS)
         phi = build_rep(V)
         assert is_simple(phi)
+        assert trace_of(phi, EIGHT_SEVENTEEN) != trace_of(phi, reverse_braid(EIGHT_SEVENTEEN))
 
     def test_recover_round_trip(self):
         V = make_dim6_detecting(self.PARAMS)
@@ -134,17 +138,11 @@ class TestDim6Detecting:
     def test_oracle_and_trace_separation_agree(self):
         # no witness against the transpose image, and the detection braid
         # separates: the two certificates of "not fixed" must coincide
-        from braidrev import verify_dim6_detection
-
-        report = verify_dim6_detection(self.PARAMS)
-        checks = dict(report.identities_checked)
-        assert checks["oracle_finds_no_witness"]
-        assert checks["trace_separation"]
-        assert checks["certificates_agree"]
-        assert not report.isomorphic
-        assert report.traces is not None and report.traces[0] != report.traces[1]
-        obj = report.to_obj()
-        assert set(obj["traces"]) == {"b", "b_rev"}
+        V = make_dim6_detecting(self.PARAMS)
+        search = find_isomorphism(V, tau_quiver(V))
+        assert search.witness is None and not search.inconclusive
+        phi = build_rep(V)
+        assert trace_of(phi, EIGHT_SEVENTEEN) != trace_of(phi, reverse_braid(EIGHT_SEVENTEEN))
 
     def test_degenerate_parameters_singular(self):
         # (a..g) = (0,0,0,0,1,0,0) makes the determinant vanish
@@ -310,11 +308,9 @@ class TestWitnessReportJson:
     def test_schema(self):
         report = verify_even_witness(1, CycMatrix([[2]]))
         obj = report.to_obj()
-        assert set(obj) == {"family", "isomorphic", "identities", "witness",
-                            "traces", "notes"}
+        assert set(obj) == {"family", "isomorphic", "identities", "witness", "notes"}
         assert obj["isomorphic"] is True
         assert all(set(item) == {"name", "ok"} for item in obj["identities"])
-        assert obj["traces"] is None
         assert obj["family"]["kind"] == "even_k"
 
     def test_isomorphic_is_derived(self):
