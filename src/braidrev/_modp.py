@@ -270,30 +270,30 @@ def hom_kernel(re, rh, certify):
     the one the exact reduced echelon form yields.
 
     Returns [] or [certify(vec)] when certified; None (not certified) when
-    the nullity mod p is above 1, or when neither of two primes certifies.
+    the nullity mod p is above 1, or when the lift certified nothing.
     """
     cols = re.shape[1]
     if not within_headroom(cols):
         return None
-    for p, rho in PRIMES[:2]:
-        order = list(range(len(re)))
-        pivots = _rref_mod(_embed(re, rh, p, rho), p, order)
-        if len(pivots) == cols:
-            return []
-        if len(pivots) < cols - 1:
-            return None
-        (free,) = set(range(cols)).difference(pivots)
-        rows = order[:cols - 1]
-        keep = [c for c in range(cols) if c != free]
-        for values in _lift((re[np.ix_(rows, keep)], rh[np.ix_(rows, keep)]),
-                            (-re[rows, free], -rh[rows, free]), p, rho):
-            half = len(values) // 2
-            vec = [CycRat(Rational(*values[i]), Rational(*values[half + i]))
-                   for i in range(half)]
-            vec.insert(free, CycRat(1))
-            # The exact kernel vector has a 1 at the free column and zeros after it.
-            if not any(vec[free + 1:]):
-                result = certify(vec)
-                if result is not None:
-                    return [result]
+    p, rho = PRIMES[0]
+    order = list(range(len(re)))
+    pivots = _rref_mod(_embed(re, rh, p, rho), p, order)
+    if len(pivots) == cols:
+        return []
+    if len(pivots) < cols - 1:
+        return None
+    (free,) = set(range(cols)).difference(pivots)
+    rows = order[:cols - 1]
+    keep = [c for c in range(cols) if c != free]
+    for values in _lift((re[np.ix_(rows, keep)], rh[np.ix_(rows, keep)]),
+                        (-re[rows, free], -rh[rows, free]), p, rho):
+        half = len(values) // 2
+        vec = [CycRat(Rational(*values[i]), Rational(*values[half + i]))
+               for i in range(half)]
+        vec.insert(free, CycRat(1))
+        # The exact kernel vector has a 1 at the free column and zeros after it.
+        if not any(vec[free + 1:]):
+            result = certify(vec)
+            if result is not None:
+                return [result]
     return None

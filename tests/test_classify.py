@@ -166,6 +166,19 @@ class TestCrossCheck:
         }
         assert fixed15 == {(8, 7, 7, 7, 1), (8, 7, 7, 1, 7)}
 
+    def test_verdict_invariant_under_relabeling(self):
+        # swapping a and b, rotating (x, y, z) and swapping y and z relabel
+        # a component; its verdict must not depend on the label, whatever
+        # canonical form ``normalize`` picks
+        for n in range(1, 21):
+            for report in enumerate_components(n):
+                d = report.dims
+                for a, b in ((d.a, d.b), (d.b, d.a)):
+                    for x, y, z in ((d.x, d.y, d.z), (d.y, d.z, d.x), (d.z, d.x, d.y)):
+                        for relabeled in (dv(a, b, x, y, z), dv(a, b, x, z, y)):
+                            assert classify_component(relabeled).verdict == report.verdict, \
+                                (d, relabeled)
+
     def test_is_fixed_handles_unnormalized_input(self):
         assert classify_component(dv(2, 4, 2, 2, 2)).verdict == FIXED
         assert classify_component(dv(3, 3, 2, 2, 2)).verdict == DETECTING

@@ -144,11 +144,16 @@ class TestDim6Detecting:
         phi = build_rep(V)
         assert trace_of(phi, EIGHT_SEVENTEEN) != trace_of(phi, reverse_braid(EIGHT_SEVENTEEN))
 
-    def test_degenerate_parameters_singular(self):
-        # (a..g) = (0,0,0,0,1,0,0) makes the determinant vanish
-        # (checked by elimination); the constructor must refuse it
+    @pytest.mark.parametrize("make,params", [
+        (make_dim6_detecting, [0, 0, 0, 0, 1, 0, 0]),
+        (make_dim42_exceptional, [-1, -1, -1, 0, 2]),
+    ], ids=["dim6", "dim42"])
+    def test_degenerate_parameters_singular(self, make, params):
+        # each point makes its family's determinant vanish (checked by
+        # elimination; the dim42 matrix has rank 5); the constructor must
+        # refuse it
         with pytest.raises(SingularMatrixError):
-            make_dim6_detecting([0, 0, 0, 0, 1, 0, 0])
+            make(params)
 
     def test_all_zero_parameters_invertible(self):
         # the zero point of the parametrization is unimodular, det = 1
@@ -302,6 +307,27 @@ def test_even_witness_proves_both_splits(mirror):
         assert act(report.witness, tau_quiver(V)) == V
         search = find_isomorphism(tau_quiver(V), V)
         assert search.hom_dim == 1 and search.witness is not None
+
+
+@pytest.mark.parametrize("verify", [
+    lambda: verify_odd_family(2, 3),
+    lambda: verify_dim42_family(TestDim42Exceptional.PARAMS),
+    lambda: verify_even_witness(2, CycMatrix([[2, 1], [1, 3]])),
+], ids=["odd", "dim42", "even"])
+def test_each_verifier_computes_tau_once(verify, monkeypatch):
+    # every check and the witness search share one tau V; the note says
+    # that the witness proves one point's class fixed, not the component
+    calls = []
+
+    def spy(V):
+        calls.append(V)
+        return tau_quiver(V)
+
+    monkeypatch.setattr(families, "tau_quiver", spy)
+    report = verify()
+    assert report.isomorphic, report.identities_checked
+    assert len(calls) == 1
+    assert "witness proves that this point's class is tau-fixed" in report.notes
 
 
 class TestWitnessReportJson:

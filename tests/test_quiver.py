@@ -339,9 +339,10 @@ class TestModularHomSpace:
                 basis = hom_space(*pair)
             assert (calls, count.calls, len(basis)) == ([pair[0].dims], nullspaces, dim)
 
-    def test_singular_second_root_moves_on(self, monkeypatch):
+    def test_singular_second_root_falls_back(self, monkeypatch):
         # at p = 13 (rho = 3) the square block of this point is invertible
-        # under w -> 3 and singular under w -> 9; the next prime certifies
+        # under w -> 3 and singular under w -> 9; the lift yields nothing
+        # at the one prime, and exact elimination answers
         V = stable_rep((2, 2, 2, 1, 1), 0)
         W = tau_quiver(V)
         small, table = (13, 3), _modp.PRIMES[0]
@@ -358,14 +359,14 @@ class TestModularHomSpace:
         monkeypatch.setattr(_modp, "_lift", spy)
         with counting_nullspace() as count:
             basis = hom_space(W, V)
-        assert lifted == [(13, [False, True]), (table[0], [False, False])]
-        assert count.calls == 0
+        assert lifted == [(13, [False, True])]
+        assert count.calls == 1
         assert basis == _hom_space_exact(W, V)
         assert len(basis) == 1
 
     def test_too_few_primes_falls_back(self, monkeypatch):
-        # nothing reconstructs: both primes lift to the Hadamard bound and
-        # give up, and exact elimination answers
+        # nothing reconstructs: the prime lifts to the Hadamard bound and
+        # gives up, and exact elimination answers
         V = make_odd_family(3, 11)
         W = tau_quiver(V)
         monkeypatch.setattr(_modp, "_reconstruct", lambda residues, m: None)
