@@ -19,25 +19,18 @@ import numpy as np
 from .cyclotomic import CycRat, Rational
 from .linalg import span_closure_dim
 
-# Every prime here is below 2**PRIME_BITS.  A sum of n products of residues
-# then stays below n * 2**52, which is exact in int64 while n < MAX_DIM.
+# The prime is below 2**PRIME_BITS.  A sum of n products of residues then
+# stays below n * 2**52, which is exact in int64 while n < MAX_DIM.
 PRIME_BITS = 26
 MAX_DIM = 2 ** (63 - 2 * PRIME_BITS)
 
-# The six largest primes below 2**26 that are congruent to 1 mod 3, paired
-# with a primitive cube root of unity mod p.
-PRIMES = (
-    (67108837, 57280852),
-    (67108819, 19491216),
-    (67108777, 35787766),
-    (67108753, 49922800),
-    (67108747, 43921573),
-    (67108729, 56779387),
-)
+# The largest prime below 2**26 that is congruent to 1 mod 3, paired with a
+# primitive cube root of unity mod p.
+PRIME = (67108837, 57280852)
 
 
 def within_headroom(n: int) -> bool:
-    """Whether n x n products mod any prime here are exact in int64."""
+    """Whether n x n products mod ``PRIME`` are exact in int64."""
     return n < MAX_DIM
 
 
@@ -100,27 +93,24 @@ def _inverse_mod(a, p: int):
 
 
 def reduce_mod(*mats):
-    """(p, images): the first prime p of ``PRIMES`` that divides no
-    denominator of ``mats``, with their images in F_p; None if there is
-    none."""
-    for p, rho_img in PRIMES:
-        if all(mat.den % p for mat in mats):
-            return p, [matrix_mod(mat, p, rho_img) for mat in mats]
+    """The images of ``mats`` in F_p at ``PRIME``; None if p divides a
+    denominator."""
+    p, rho_img = PRIME
+    if all(mat.den % p for mat in mats):
+        return [matrix_mod(mat, p, rho_img) for mat in mats]
     return None
 
 
 def det_nonzero(mat) -> bool:
     """Whether det(mat) != 0.
 
-    True when the determinant is nonzero mod the prime of ``reduce_mod``,
-    which certifies it is nonzero; otherwise the exact determinant decides.
+    True when the determinant is nonzero mod ``PRIME``, which certifies it
+    is nonzero; otherwise the exact determinant decides.
     """
     if mat.is_square() and within_headroom(mat.rows):
         reduced = reduce_mod(mat)
-        if reduced is not None:
-            p, (a,) = reduced
-            if len(_rref_mod(a, p)) == mat.rows:
-                return True
+        if reduced is not None and len(_rref_mod(reduced[0], PRIME[0])) == mat.rows:
+            return True
     return bool(mat.det())
 
 
@@ -153,7 +143,7 @@ def burnside_rank_mod(a1, a2, p: int) -> int | None:
         return True
 
     return span_closure_dim(np.eye(n, dtype=np.int64), (a1, a2),
-                            lambda gen, mat: (gen @ mat) % p, insert, n * n)
+                            lambda gen, mat: (gen @ mat) % p, insert)
 
 
 # -- certified kernels --------------------------------------------------------
@@ -258,7 +248,7 @@ def hom_kernel(re, rh, certify):
     """Certified kernel of nullity at most one of the Z[w] matrix re + rh*w,
     given as integer arrays.
 
-    The matrix is reduced mod a prime p = 1 (mod 3) under w -> rho.  A
+    The matrix is reduced mod p under w -> rho, with (p, rho) = ``PRIME``.  A
     nullity of 0 mod p certifies an empty kernel.  For a nullity of 1, the
     free column is the last nonzero coordinate of the kernel vector mod p;
     setting it to 1 and keeping the rows of the pivots leaves a square
@@ -275,7 +265,7 @@ def hom_kernel(re, rh, certify):
     cols = re.shape[1]
     if not within_headroom(cols):
         return None
-    p, rho = PRIMES[0]
+    p, rho = PRIME
     order = list(range(len(re)))
     pivots = _rref_mod(_embed(re, rh, p, rho), p, order)
     if len(pivots) == cols:

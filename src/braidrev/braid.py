@@ -262,15 +262,14 @@ def is_simple(phi: B3Rep) -> bool:
     matrices contains their inverses, so words in X1, X2 suffice).
 
     A reduction mod p can only lower the span dimension, so full rank mod
-    p certifies simplicity; anything less falls back to the exact
-    computation.
+    p certifies simplicity; anything less, or a p that divides a
+    denominator, falls back to the exact computation.
     """
+    full = phi.n * phi.n
     reduced = _modp.reduce_mod(phi.X1, phi.X2)
-    if reduced is not None:
-        p, (a1, a2) = reduced
-        if _modp.burnside_rank_mod(a1, a2, p) == phi.n * phi.n:
-            return True
-    return _burnside_rank_exact(phi) == phi.n * phi.n
+    if reduced is not None and _modp.burnside_rank_mod(*reduced, _modp.PRIME[0]) == full:
+        return True
+    return _burnside_rank_exact(phi) == full
 
 
 def _burnside_rank_exact(phi: B3Rep) -> int:
@@ -305,8 +304,7 @@ def _burnside_rank_exact(phi: B3Rep) -> int:
                                        [a * c1 + b * c0 - b * c1 for a, b in zip(v0, v1)])))
         return True
 
-    return span_closure_dim(CycMatrix.identity(n), (phi.X1, phi.X2), matmul,
-                            insert, full)
+    return span_closure_dim(CycMatrix.identity(n), (phi.X1, phi.X2), matmul, insert)
 
 
 def _primitive(v0: list, v1: list) -> tuple:
@@ -333,8 +331,8 @@ def recover_dimvector(phi: B3Rep) -> DimVector:
     a = n - (s - ident).rank()
     b = n - (s + ident).rank()
     x = n - (t - ident).rank()
-    y = n - (t - CycMatrix.scalar(n, RHO)).rank()
-    z = n - (t - CycMatrix.scalar(n, RHO2)).rank()
+    y = n - (t - ident.scale(RHO)).rank()
+    z = n - (t - ident.scale(RHO2)).rank()
     if a + b != n or x + y + z != n:
         raise ValueError(
             f"matrices are not a central-scalar-1 pair: eigenvalue "

@@ -88,14 +88,13 @@ def cmd_classify(args) -> int:
 def _verify_trial(args, trial: int) -> "families.WitnessReport":
     rng = random.Random(_trial_seed(args.seed, trial))
     if args.family == "even":
-        A = families.sample_even_matrix(rng, args.k)
-        return families.verify_even_witness(args.k, A)
+        return families.verify_even_witness(families.sample_even_matrix(rng, args.k))
     if args.family == "odd":
         return families.verify_odd_family(args.k, _trial_seed(args.seed, trial))
     if args.family == "dim42":
         return families.verify_dim42_family(families.sample_dim42_params(rng))
     # the two-dimensional example is the even family's mirror at k = 1
-    return families.verify_even_witness(1, families.sample_even_matrix(rng, 1), mirror=True)
+    return families.verify_even_witness(families.sample_even_matrix(rng, 1), mirror=True)
 
 
 def cmd_verify(args) -> int:

@@ -54,7 +54,6 @@ __all__ = [
     "sample_dim42_params",
     "verify_dim42_family",
     "jumping_pencil",
-    "cokernel_partition",
 ]
 
 
@@ -158,22 +157,24 @@ def sample_stable_rep(dims: DimVector, rng: random.Random) -> QuiverRep:
 
 # -- even family and its mirror: B = [[I, I], [A, I]] -------------------------
 
-def make_even_family(k: int, A: CycMatrix, mirror: bool = False) -> QuiverRep:
-    """Block matrix [[I_k, I_k], [A, I_k]] as a representation with
-    dimension vector (k, k; k, k-1, 1), or (k, k; k, 1, k-1) when
-    ``mirror`` names the mirror component.  At k = 1 the mirror is the
-    two-dimensional example B = [[1, 1], [a, 1]] on (1,1;1,1,0).
+def make_even_family(A: CycMatrix, mirror: bool = False) -> QuiverRep:
+    """Block matrix [[I_k, I_k], [A, I_k]], for a k x k matrix A, as a
+    representation with dimension vector (k, k; k, k-1, 1), or
+    (k, k; k, 1, k-1) when ``mirror`` names the mirror component.  At
+    k = 1 the mirror is the two-dimensional example B = [[1, 1], [a, 1]]
+    on (1,1;1,1,0).
 
     Requires A and A - I invertible; the Schur complement of the top-left
     block is I - A, so the second condition is exactly invertibility of B.
     """
-    if A.shape != (k, k):
-        raise ShapeError(f"A must be {k}x{k}, got {A.shape}")
+    if not A.is_square():
+        raise ShapeError(f"A must be square, got {A.shape}")
+    k = A.rows
     ident = CycMatrix.identity(k)
     if not _modp.det_nonzero(A):
-        raise SingularMatrixError("A is singular", A.rank())
+        raise SingularMatrixError("A is singular")
     if not _modp.det_nonzero(A - ident):
-        raise SingularMatrixError("A - I is singular", (A - ident).rank())
+        raise SingularMatrixError("A - I is singular")
     B = block_compose([[ident, ident], [A, ident]])
     y, z = (1, k - 1) if mirror else (k - 1, 1)
     return QuiverRep(DimVector(k, k, k, y, z), B)
@@ -203,9 +204,10 @@ def sample_even_matrix(rng: random.Random, k: int) -> CycMatrix:
                         f"valid symmetric {k}x{k} matrix")
 
 
-def verify_even_witness(k: int, A: CycMatrix, mirror: bool = False) -> WitnessReport:
-    """Exact check of the closed-form fixed-point witness for the even family,
-    on (k, k; k, y, z) with (y, z) = (k-1, 1), or (1, k-1) on the mirror.
+def verify_even_witness(A: CycMatrix, mirror: bool = False) -> WitnessReport:
+    """Exact check of the closed-form fixed-point witness for the even family
+    at the k x k matrix A, on (k, k; k, y, z) with (y, z) = (k-1, 1), or
+    (1, k-1) on the mirror.
 
     With C = (A - I)^{-1} the checks are:
 
@@ -225,12 +227,12 @@ def verify_even_witness(k: int, A: CycMatrix, mirror: bool = False) -> WitnessRe
     the witness block is M1 = A^{-1}C; the alternative reading A C^{-1}
     is its inverse (A and C are rational functions of A, so they commute).
     """
-    V = make_even_family(k, A, mirror)
+    V = make_even_family(A, mirror)
     family = FamilySpec(
-        "even_k_mirror" if mirror else "even_k", k=k,
+        "even_k_mirror" if mirror else "even_k", k=A.rows,
         parameters=tuple(v for row in A.entries for v in row),
     )
-    ident = CycMatrix.identity(k)
+    ident = CycMatrix.identity(A.rows)
     C = (A - ident).inverse()
     W = tau_quiver(V)
 
@@ -326,7 +328,7 @@ def _dense_point(dims: DimVector, rows) -> QuiverRep:
     raises SingularMatrixError if they are singular."""
     B = CycMatrix(rows)
     if not _modp.det_nonzero(B):
-        raise SingularMatrixError("parameters give a singular base change", B.rank())
+        raise SingularMatrixError("parameters give a singular base change")
     return QuiverRep(dims, B)
 
 
@@ -374,13 +376,15 @@ def sample_dim42_params(rng: random.Random) -> tuple:
 
 def verify_dim42_family(params) -> WitnessReport:
     """Oracle verification (``_oracle_report``) at one point.  The cokernel
-    partition and the jumping-lines match hold by construction for any B,
-    so they check only the exact arithmetic."""
+    partition sum_i C_i2 B_i2 = I_b and the jumping-lines match hold by
+    construction for any B, so they check only the exact arithmetic.  V's
+    pencil products serve both."""
     V = make_dim42_exceptional(params)
     W = tau_quiver(V)
+    first, second, third = _pencil_products(V)
     checks = [
-        ("cokernel_partition_identity", cokernel_partition(V) == CycMatrix.identity(V.dims.b)),
-        ("jumping_lines_match", jumping_pencil(W) == jumping_pencil(V)),
+        ("cokernel_partition_identity", first + second + third == CycMatrix.identity(V.dims.b)),
+        ("jumping_lines_match", jumping_pencil(W) == pencil_det(first, second, third)),
     ]
     return _oracle_report(FamilySpec("dim42_exceptional", parameters=tuple(params)),
                           V, W, checks)
@@ -394,6 +398,7 @@ def _pencil_products(V: QuiverRep) -> list:
     For dims (2n, n; n, n, n) the maps (B_12, B_22, B_32) are the b-column
     blocks of B, embedding the b-summand into the three sink spaces, and
     (C_12, C_22, C_32), the b-row blocks of B^{-1}, project back from them.
+    Their sum is I_b, because B^{-1} B = I.
     """
     d = V.dims
     nb = d.b
@@ -402,12 +407,6 @@ def _pencil_products(V: QuiverRep) -> list:
     b_inv = V.B.inverse()
     return [block_extract(b_inv, d.source_blocks, d.sink_blocks, 1, i)
             @ block_extract(V.B, d.sink_blocks, d.source_blocks, i, 1) for i in range(3)]
-
-
-def cokernel_partition(V: QuiverRep) -> CycMatrix:
-    """sum_i C_i2 B_i2; equals I_b exactly because B^{-1} B = I."""
-    first, second, third = _pencil_products(V)
-    return first + second + third
 
 
 def jumping_pencil(V: QuiverRep) -> TrivariatePoly:

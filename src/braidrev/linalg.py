@@ -45,11 +45,7 @@ class ShapeError(ValueError):
 
 
 class SingularMatrixError(ValueError):
-    """Inversion of a singular matrix; ``rank`` holds the rank found."""
-
-    def __init__(self, message: str, rank: int):
-        super().__init__(f"{message} (rank {rank})")
-        self.rank = rank
+    """A matrix that must be invertible is singular."""
 
 
 def _as_cycrat(value) -> CycRat:
@@ -154,15 +150,14 @@ class CycMatrix:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def _from_parts(cls, rows, cols, den, re, rh, canonical=False) -> "CycMatrix":
-        """The matrix (re + rh*w) / den, brought to canonical form unless the
-        caller knows it already is; the shape is explicit for empty matrices."""
-        if not canonical:
-            g = math.gcd(den, *chain(*re), *chain(*rh))
-            if g != 1:
-                den //= g
-                re = [[a // g for a in row] for row in re]
-                rh = [[b // g for b in row] for row in rh]
+    def _from_parts(cls, rows, cols, den, re, rh) -> "CycMatrix":
+        """The matrix (re + rh*w) / den, brought to canonical form; the shape
+        is explicit for empty matrices."""
+        g = math.gcd(den, *chain(*re), *chain(*rh))
+        if g != 1:
+            den //= g
+            re = [[a // g for a in row] for row in re]
+            rh = [[b // g for b in row] for row in rh]
         mat = cls.__new__(cls)
         mat._store(rows, cols, den, re, rh)
         return mat
@@ -170,22 +165,18 @@ class CycMatrix:
     @classmethod
     def identity(cls, n: int) -> "CycMatrix":
         return cls._from_parts(n, n, 1, [[int(i == j) for j in range(n)] for i in range(n)],
-                               [[0] * n for _ in range(n)], canonical=True)
+                               [[0] * n for _ in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "CycMatrix":
         return cls._from_parts(rows, cols, 1, [[0] * cols for _ in range(rows)],
-                               [[0] * cols for _ in range(rows)], canonical=True)
+                               [[0] * cols for _ in range(rows)])
 
     @classmethod
     def diagonal(cls, values: Iterable) -> "CycMatrix":
         vals = [_as_cycrat(v) for v in values]
         n = len(vals)
         return cls([[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def scalar(cls, n: int, c) -> "CycMatrix":
-        return cls.diagonal([c] * n)
 
     # -- basics ------------------------------------------------------------
 
@@ -286,7 +277,7 @@ class CycMatrix:
         """Entry (i, j) -> (j, i)."""
         return CycMatrix._from_parts(self.cols, self.rows, self.den,
                                      _columns(self.re, self.cols),
-                                     _columns(self.rh, self.cols), canonical=True)
+                                     _columns(self.rh, self.cols))
 
     def trace(self) -> CycRat:
         if not self.is_square():
@@ -307,7 +298,7 @@ class CycMatrix:
         work_rh = [row + [0] * n for row in self.rh]
         pivots, (d0, d1), _ = _bareiss(work_re, work_rh, n)
         if len(pivots) < n:
-            raise SingularMatrixError("matrix is singular", len(pivots))
+            raise SingularMatrixError(f"matrix is singular (rank {len(pivots)})")
         # For Z = den * self, [Z | I] is now [d I | d Z^{-1}], d the last pivot,
         # and self^{-1} = den Z^{-1}; dividing by d is multiplying by its
         # conjugate (d0 - d1) - d1 w over its norm.
@@ -454,14 +445,16 @@ def _bareiss_row(R0, R1, P0, P1, p, f, q, cols) -> None:
         R1[j] = u1
 
 
-def span_closure_dim(one, gens, mul, insert, full: int) -> int:
+def span_closure_dim(one, gens, mul, insert) -> int:
     """Dimension of the span of all words in ``gens``, over any field.
 
-    Closes the span of ``one`` and ``gens`` under left multiplication, with
-    ``mul(gen, mat)`` the product and ``insert(mat)`` adding ``mat`` to the
-    caller's echelon basis and returning whether it was a new direction.
-    The loop ends when no candidate is new or ``full`` is reached.
+    Closes the span of the n x n identity ``one`` and ``gens`` under left
+    multiplication, with ``mul(gen, mat)`` the product and ``insert(mat)``
+    adding ``mat`` to the caller's echelon basis and returning whether it
+    was a new direction.  The loop ends when no candidate is new or the
+    span is all n^2 matrices.
     """
+    full = one.shape[0] ** 2
     dim = 0
     queue = []
     for seed in (one, *gens):

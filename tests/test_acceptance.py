@@ -48,7 +48,7 @@ def test_criterion_1_even_family_fixedness():
     for k in range(1, 7):
         rng = random.Random(1000 + k)
         for _ in range(20):
-            report = verify_even_witness(k, sample_even_matrix(rng, k))
+            report = verify_even_witness(sample_even_matrix(rng, k))
             assert report.isomorphic, (k, report.identities_checked)
             assert report.witness is not None
     _finish(1, "even family k=1..6, 20 samples each: closed-form identities exact",
@@ -154,6 +154,17 @@ def test_criterion_5_classification():
     _finish(5, "classification table n=1..6 and families through n=40; "
                "rule and list verdicts agree; fixed components have dim n",
             t0, 5.0)
+
+
+def test_fixed_exactly_when_component_dim_is_n():
+    # The count behind the classification: the orthogonal (tau-fixed)
+    # classes are dense in a component of dimension D exactly when D = n.
+    # Checked here, not proven; criterion 5 asserts only fixed => D = n.
+    for n in range(1, 41):
+        for report in enumerate_components(n):
+            assert (report.verdict == FIXED) == (report.component_dim == n), report.dims
+            if report.verdict == DETECTING:
+                assert report.component_dim >= n + 2, report.dims
 
 
 STRUCTURAL_DIMS = [

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidrev import (
     B3Rep,
@@ -15,6 +16,7 @@ from braidrev import (
     RHO2,
     block_diag,
     build_rep,
+    enumerate_components,
     evaluate,
     is_simple,
     make_dim6_detecting,
@@ -230,11 +232,32 @@ class TestSimplicity:
         psi = build_rep(stable_rep((1, 2, 1, 1, 1), 51))
         both = B3Rep(block_diag([phi.X1, psi.X1]), block_diag([phi.X2, psi.X2]))
         assert _burnside_rank_exact(both) == 18
-        p, rho_img = _modp.PRIMES[0]
+        p, rho_img = _modp.PRIME
         a1 = _modp.matrix_mod(both.X1, p, rho_img)
         a2 = _modp.matrix_mod(both.X2, p, rho_img)
         assert _modp.burnside_rank_mod(a1, a2, p) == 18
         assert not is_simple(both)
+
+    @pytest.mark.parametrize("dims, seed", [((2, 1, 1, 1, 1), 47), ((2, 2, 2, 1, 1), 46),
+                                            ((3, 2, 2, 2, 1), 48), ((3, 3, 2, 2, 2), 49)])
+    def test_prime_in_a_denominator_goes_exact(self, dims, seed, monkeypatch):
+        # conjugating by diag(p, 1, ..., 1) puts the prime p into a
+        # denominator: nothing reduces, no rank mod p is taken, and the
+        # exact closure answers
+        phi = build_rep(stable_rep(dims, seed))
+        d = CycMatrix.diagonal([_modp.PRIME[0]] + [1] * (phi.n - 1))
+        conj = B3Rep(d @ phi.X1 @ d.inverse(), d @ phi.X2 @ d.inverse())
+        assert _modp.reduce_mod(conj.X1, conj.X2) is None
+        primes = []
+        rank_mod = _modp.burnside_rank_mod
+
+        def spy(a1, a2, p):
+            primes.append(p)
+            return rank_mod(a1, a2, p)
+
+        monkeypatch.setattr(_modp, "burnside_rank_mod", spy)
+        assert is_simple(conj)
+        assert primes == []
 
     def test_invariant_under_action(self, rng):
         from test_quiver import random_group_element
@@ -284,3 +307,52 @@ class TestSerialization:
         bogus = B3Rep(CycMatrix([[2, 0], [0, 1]]), CycMatrix.identity(2))
         with pytest.raises(ValueError, match="relation"):
             B3Rep.from_obj(bogus.to_obj())
+
+
+def cayley_point(dims: DimVector, rng: random.Random) -> QuiverRep:
+    """V = (dims, O) at the Cayley point O = (I - K)(I + K)^{-1}, K skew with
+    integer entries in [-9, 9].  I + K is invertible for every real skew K,
+    and O is orthogonal, so tau V.B = (O^{-1})^tr = O."""
+    n = dims.n
+    K = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            K[i][j] = rng.randint(-9, 9)
+            K[j][i] = -K[i][j]
+    ident, K = CycMatrix.identity(n), CycMatrix(K)
+    return QuiverRep(dims, (ident - K) @ (ident + K).inverse())
+
+
+def check_tau_fixed_point(V: QuiverRep, rng: random.Random):
+    """tau V = V exactly, so no word separates itself from its reverse at V:
+    Tr phi(w) = Tr tau phi(w) = Tr phi(w~).  Returns phi."""
+    assert tau_quiver(V) == V
+    phi = build_rep(V)
+    phi.check_relations()
+    assert recover_dimvector(phi) == V.dims
+    for word in (EIGHT_SEVENTEEN, *(random_word(rng) for _ in range(5))):
+        assert trace_of(phi, word) == trace_of(phi, reverse_braid(word)), word
+    return phi
+
+
+class TestCayleyPoints:
+    """Orthogonal points are tau-fixed inside every component, the
+    detecting ones included: there the fixed locus is proper and closed."""
+
+    @pytest.mark.parametrize("dims", [report.dims for n in range(1, 9)
+                                      for report in enumerate_components(n)], ids=str)
+    def test_simple_components(self, dims):
+        rng = random.Random(str(dims))
+        phi = check_tau_fixed_point(cayley_point(dims, rng), rng)
+        assert is_simple(phi)
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.integers(0, n).map(lambda a: (a, n - a)),
+        st.integers(0, n).flatmap(lambda x: st.integers(0, n - x).map(
+            lambda y: (x, y, n - x - y))))),
+        st.randoms(use_true_random=False))
+    @settings(deadline=None)
+    def test_balanced_vectors(self, vector, rng):
+        (a, b), (x, y, z) = vector
+        dims = DimVector(a, b, x, y, z)
+        check_tau_fixed_point(cayley_point(dims, rng), rng)

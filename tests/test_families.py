@@ -32,7 +32,6 @@ from braidrev import (
 from braidrev import families
 from braidrev.families import (
     SamplingError,
-    cokernel_partition,
     sample_even_matrix,
 )
 from conftest import invertible
@@ -41,45 +40,50 @@ from test_quiver import random_group_element
 
 class TestEvenFamily:
     def test_k1_even_split(self):
-        V = make_even_family(1, CycMatrix([[2]]))
+        V = make_even_family(CycMatrix([[2]]))
         assert V.B == CycMatrix([[1, 1], [2, 1]])
         assert V.dims == DimVector(1, 1, 1, 0, 1)
 
     def test_k2_diagonal(self):
-        V = make_even_family(2, CycMatrix.diagonal([2, 3]))
+        V = make_even_family(CycMatrix.diagonal([2, 3]))
         assert V.dims == DimVector(2, 2, 2, 1, 1)
         assert V.B.det()
 
     def test_singular_A_minus_I_rejected(self):
         with pytest.raises(SingularMatrixError):
-            make_even_family(2, CycMatrix.identity(2))
+            make_even_family(CycMatrix.identity(2))
 
     def test_singular_A_rejected(self):
         with pytest.raises(SingularMatrixError):
-            make_even_family(2, CycMatrix.zeros(2, 2))
+            make_even_family(CycMatrix.zeros(2, 2))
+
+    def test_non_square_A_rejected(self):
+        # k is A's size, so A must be square
+        with pytest.raises(ShapeError):
+            make_even_family(CycMatrix([[2, 1]]))
 
     def test_witness_small_sizes(self):
         rng = random.Random(60)
         for k in range(1, 5):
-            report = verify_even_witness(k, sample_even_matrix(rng, k))
+            report = verify_even_witness(sample_even_matrix(rng, k))
             assert report.isomorphic, report.identities_checked
             assert report.witness is not None
 
     def test_k1_explicit_inverse_transpose(self):
-        report = verify_even_witness(1, CycMatrix([[2]]))
+        report = verify_even_witness(CycMatrix([[2]]))
         assert report.isomorphic
-        V = make_even_family(1, CycMatrix([[2]]))
+        V = make_even_family(CycMatrix([[2]]))
         assert tau_quiver(V).B == CycMatrix([[-1, 2], [1, -1]])
 
     def test_twice_identity(self):
         # A = 2I gives C = I and every identity collapses to block algebra
-        report = verify_even_witness(3, CycMatrix.scalar(3, 2))
+        report = verify_even_witness(CycMatrix.identity(3).scale(2))
         assert report.isomorphic
 
     def test_witness_orientation(self):
         A = sample_even_matrix(random.Random(61), 2)
-        report = verify_even_witness(2, A)
-        V = make_even_family(2, A)
+        report = verify_even_witness(A)
+        V = make_even_family(A)
         assert act(report.witness, tau_quiver(V)) == V
 
 
@@ -214,7 +218,8 @@ class TestJumpingLines:
 
     def test_partition_of_identity(self):
         V = make_dim42_exceptional(self.PARAMS)
-        assert cokernel_partition(V) == CycMatrix.identity(2)
+        first, second, third = families._pencil_products(V)
+        assert first + second + third == CycMatrix.identity(2)
 
     def test_pencil_degree(self):
         V = make_dim42_exceptional(self.PARAMS)
@@ -261,31 +266,31 @@ class TestTwoDimExample:
     # B = [[1, 1], [a, 1]] on (1,1;1,1,0) is the even family's mirror at k = 1
 
     def test_is_the_mirror_at_k1(self):
-        V = make_even_family(1, CycMatrix([[2]]), mirror=True)
+        V = make_even_family(CycMatrix([[2]]), mirror=True)
         assert V.dims == DimVector(1, 1, 1, 1, 0)
         assert V.B == CycMatrix([[1, 1], [2, 1]])
 
     def test_a_two(self):
-        report = verify_even_witness(1, CycMatrix([[2]]), mirror=True)
+        report = verify_even_witness(CycMatrix([[2]]), mirror=True)
         assert report.isomorphic
 
     def test_a_minus_one(self):
-        report = verify_even_witness(1, CycMatrix([[-1]]), mirror=True)
+        report = verify_even_witness(CycMatrix([[-1]]), mirror=True)
         assert report.isomorphic
 
     def test_a_rho(self):
-        assert verify_even_witness(1, CycMatrix([[RHO]]), mirror=True).isomorphic
+        assert verify_even_witness(CycMatrix([[RHO]]), mirror=True).isomorphic
 
     @pytest.mark.parametrize("bad", [1, 0])
     def test_excluded_parameters(self, bad):
         with pytest.raises(ValueError):
-            verify_even_witness(1, CycMatrix([[bad]]), mirror=True)
+            verify_even_witness(CycMatrix([[bad]]), mirror=True)
 
     def test_displayed_identity(self):
         # the paper's (B^-1)^tr = diag(1, -1/a) . B . diag(1/(1-a), -a/(1-a)),
         # of which identity (ii) is a rearrangement
         a = CycRat(3, -2)
-        V = make_even_family(1, CycMatrix([[a]]), mirror=True)
+        V = make_even_family(CycMatrix([[a]]), mirror=True)
         inv_1ma = (1 - a).inverse()
         left = CycMatrix.diagonal([1, -a.inverse()])
         right = CycMatrix.diagonal([inv_1ma, -a * inv_1ma])
@@ -299,8 +304,8 @@ def test_even_witness_proves_both_splits(mirror):
     rng = random.Random(62)
     for k in range(1, 5):
         A = sample_even_matrix(rng, k)
-        report = verify_even_witness(k, A, mirror)
-        V = make_even_family(k, A, mirror)
+        report = verify_even_witness(A, mirror)
+        V = make_even_family(A, mirror)
         assert V.dims.sink_blocks == ((k, 1, k - 1) if mirror else (k, k - 1, 1))
         assert report.isomorphic, report.identities_checked
         assert report.family.kind == ("even_k_mirror" if mirror else "even_k")
@@ -312,7 +317,7 @@ def test_even_witness_proves_both_splits(mirror):
 @pytest.mark.parametrize("verify", [
     lambda: verify_odd_family(2, 3),
     lambda: verify_dim42_family(TestDim42Exceptional.PARAMS),
-    lambda: verify_even_witness(2, CycMatrix([[2, 1], [1, 3]])),
+    lambda: verify_even_witness(CycMatrix([[2, 1], [1, 3]])),
 ], ids=["odd", "dim42", "even"])
 def test_each_verifier_computes_tau_once(verify, monkeypatch):
     # every check and the witness search share one tau V; the note says
@@ -332,7 +337,7 @@ def test_each_verifier_computes_tau_once(verify, monkeypatch):
 
 class TestWitnessReportJson:
     def test_schema(self):
-        report = verify_even_witness(1, CycMatrix([[2]]))
+        report = verify_even_witness(CycMatrix([[2]]))
         obj = report.to_obj()
         assert set(obj) == {"family", "isomorphic", "identities", "witness", "notes"}
         assert obj["isomorphic"] is True
@@ -340,7 +345,7 @@ class TestWitnessReportJson:
         assert obj["family"]["kind"] == "even_k"
 
     def test_isomorphic_is_derived(self):
-        report = verify_even_witness(1, CycMatrix([[2]]))
+        report = verify_even_witness(CycMatrix([[2]]))
         assert report.isomorphic
         (name, _), *rest = report.identities_checked
         one_failure = replace(report, identities_checked=[(name, False), *rest])

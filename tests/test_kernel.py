@@ -183,7 +183,8 @@ class TestElimination:
         assert m.det() == ZERO
         with pytest.raises(SingularMatrixError) as err:
             m.inverse()
-        assert err.value.rank == m.rank() < m.rows
+        assert m.rank() < m.rows
+        assert f"(rank {m.rank()})" in str(err.value)
 
     @given(st.integers(1, 4).flatmap(lambda n: matrices(n, n)))
     @settings(deadline=None, max_examples=60)
@@ -199,14 +200,14 @@ class TestBurnsideExact:
         phi = build_rep(stable_rep((2, 1, 1, 1, 1), seeds[0]))
         psi = build_rep(stable_rep((1, 2, 1, 1, 1), seeds[1]))
         both = B3Rep(block_diag([phi.X1, psi.X1]), block_diag([phi.X2, psi.X2]))
-        p, rho_img = _modp.PRIMES[0]
+        p, rho_img = _modp.PRIME
         a1 = _modp.matrix_mod(both.X1, p, rho_img)
         a2 = _modp.matrix_mod(both.X2, p, rho_img)
         assert _burnside_rank_exact(both) == _modp.burnside_rank_mod(a1, a2, p) == 18
 
     def test_simple_point_matches_modular(self):
         phi = build_rep(stable_rep((2, 2, 2, 1, 1), random.Random(5).randrange(10 ** 6)))
-        p, rho_img = _modp.PRIMES[0]
+        p, rho_img = _modp.PRIME
         a1 = _modp.matrix_mod(phi.X1, p, rho_img)
         a2 = _modp.matrix_mod(phi.X2, p, rho_img)
         assert _burnside_rank_exact(phi) == _modp.burnside_rank_mod(a1, a2, p) == 16

@@ -79,7 +79,7 @@ class TestInverse:
     def test_singular_carries_rank(self):
         with pytest.raises(SingularMatrixError) as err:
             CycMatrix([[1, 1], [1, 1]]).inverse()
-        assert err.value.rank == 1
+        assert "(rank 1)" in str(err.value)
 
     def test_double_inverse(self, rng):
         m = invertible(rng, 4)

@@ -33,20 +33,18 @@ def trial_division(n: int) -> bool:
 
 
 class TestPrimeStream:
-    """The table of primes the modular routines use."""
+    """The prime the modular routines use."""
 
     def test_primes_with_cube_roots(self):
-        assert [p for p, _ in _modp.PRIMES] == sorted({p for p, _ in _modp.PRIMES},
-                                                      reverse=True)
-        for p, rho in _modp.PRIMES:
-            assert p < 2 ** _modp.PRIME_BITS and p % 3 == 1
-            assert trial_division(p)
-            assert rho != 1 and pow(rho, 3, p) == 1
+        p, rho = _modp.PRIME
+        assert p < 2 ** _modp.PRIME_BITS and p % 3 == 1
+        assert trial_division(p)
+        assert rho != 1 and pow(rho, 3, p) == 1
 
     def test_no_prime_skipped(self):
-        table = [2 ** _modp.PRIME_BITS] + [p for p, _ in _modp.PRIMES]
-        for hi, lo in zip(table, table[1:]):
-            assert not any(trial_division(q) for q in range(lo + 6, hi, 6))
+        # the largest prime below 2**26 that is 1 mod 3 (and so 1 mod 6)
+        p, _ = _modp.PRIME
+        assert not any(trial_division(q) for q in range(p + 6, 2 ** _modp.PRIME_BITS, 6))
 
 
 def entrywise_mod(mat, p, rho):
@@ -64,7 +62,7 @@ def entrywise_mod(mat, p, rho):
 
 
 rationals = st.builds(Rational, st.integers(-10 ** 30, 10 ** 30),
-                      st.sampled_from([1, 2, 7, 3 ** 40, _modp.PRIMES[0][0]]))
+                      st.sampled_from([1, 2, 7, 3 ** 40, _modp.PRIME[0]]))
 
 
 class TestMatrixMod:
@@ -73,7 +71,7 @@ class TestMatrixMod:
         min_size=n, max_size=n)))
     def test_matches_entrywise(self, rows):
         mat = CycMatrix(rows)
-        for p, rho in _modp.PRIMES[:2]:
+        for p, rho in (_modp.PRIME, (13, 3)):
             # ``reduce_mod`` only reduces at a prime that divides no denominator
             if mat.den % p:
                 assert _modp.matrix_mod(mat, p, rho).tolist() == entrywise_mod(mat, p, rho)
@@ -85,13 +83,13 @@ class TestHeadroom:
         assert _modp.MAX_DIM == 2048
         assert _modp.within_headroom(2047)
         assert not _modp.within_headroom(2048)
-        p = _modp.PRIMES[0][0]
+        p = _modp.PRIME[0]
         assert (_modp.MAX_DIM - 1) * (p - 1) ** 2 < 2 ** 63
 
     def test_burnside_refuses_without_allocating(self):
         # zero strides: a 4096 x 4096 view of one int64
         big = np.broadcast_to(np.int64(0), (4096, 4096))
-        assert _modp.burnside_rank_mod(big, big, _modp.PRIMES[0][0]) is None
+        assert _modp.burnside_rank_mod(big, big, _modp.PRIME[0]) is None
 
     def test_hom_kernel_refuses_before_reducing(self):
         # zero strides: 2048 unknowns in a 4096 x 2048 view of one int64
@@ -117,11 +115,11 @@ class TestDetNonzero:
         assert _modp.det_nonzero(m) is False
 
     def test_det_divisible_by_the_prime(self):
-        p = _modp.PRIMES[0][0]
+        p = _modp.PRIME[0]
         assert _modp.det_nonzero(CycMatrix.diagonal([p, 1]))
 
     def test_denominator_divisible_by_the_prime(self):
-        p = _modp.PRIMES[0][0]
+        p = _modp.PRIME[0]
         m = CycMatrix([[CycRat(Rational(1, p)), 1], [1, 1]])
         assert _modp.det_nonzero(m) == (m.det() != 0)
         assert not _modp.det_nonzero(CycMatrix([[CycRat(Rational(1, p)), 1],
@@ -136,8 +134,8 @@ class TestReconstruction:
                     min_size=1, max_size=5))
     def test_round_trip(self, fractions):
         # common denominator <= 1000**5 and numerators <= 1000**6, well
-        # inside the bound sqrt(m / 2) of the six table primes (about 2**77)
-        m = math.prod(p for p, _ in _modp.PRIMES)
+        # inside the bound sqrt(m / 2) of m = p**6 (about 2**77)
+        m = _modp.PRIME[0] ** 6
         values = [Rational(n, d) for n, d in fractions]
         residues = [int(v.numerator) * pow(int(v.denominator), -1, m) % m for v in values]
         out = _modp._reconstruct(residues, m)
@@ -197,7 +195,7 @@ def zw_systems(height: int):
 class TestLift:
     """``_lift`` against the exact inverse."""
 
-    P, RHO = _modp.PRIMES[0]
+    P, RHO = _modp.PRIME
 
     def invertible_mod_p(self, rows) -> bool:
         block = zw_arrays(rows)

@@ -345,7 +345,6 @@ class TestModularHomSpace:
         # at the one prime, and exact elimination answers
         V = stable_rep((2, 2, 2, 1, 1), 0)
         W = tau_quiver(V)
-        small, table = (13, 3), _modp.PRIMES[0]
         lifted = []
         lift = _modp._lift
 
@@ -355,7 +354,7 @@ class TestModularHomSpace:
             lifted.append((p, [inv is None for inv in images]))
             return lift(block, rhs, p, rho)
 
-        monkeypatch.setattr(_modp, "PRIMES", (small, table))
+        monkeypatch.setattr(_modp, "PRIME", (13, 3))
         monkeypatch.setattr(_modp, "_lift", spy)
         with counting_nullspace() as count:
             basis = hom_space(W, V)
@@ -416,7 +415,7 @@ class TestAreIsomorphic:
         A = random_matrix(rng, 3, 3)
         while not A.det() or not (A - ident).det():
             A = random_matrix(rng, 3, 3)
-        V = make_even_family(3, A)
+        V = make_even_family(A)
         g = find_isomorphism(V, tau_quiver(V), rng).witness
         assert g is not None
         assert act(g, V) == tau_quiver(V)
@@ -475,7 +474,7 @@ class TestAreIsomorphic:
         # (N2 = I_2, N3 = I_1) assembles the right diag(N), but its blocks
         # do not fit the dimension vector, so it is no witness.
         A = sample_even_matrix(random.Random(5), 3)
-        V = make_even_family(3, A, mirror=True)
+        V = make_even_family(A, mirror=True)
         W = tau_quiver(V)
         C = (A - CycMatrix.identity(3)).inverse()
         A_inv = A.inverse()
